@@ -12,9 +12,9 @@ from .metrics import (
     normalize_reports, perf_per_watt, unfairness, weighted_speedup,
 )
 from .migration import (
-    MigrationEngine, MigrationError, MigrationInFlight, NotResident, TagStore,
+    MigrationEngine, MigrationError, NotResident, TagStore,
 )
-from .policies import POLICY_NAMES, PolicyConfig, PolicyDecision, make_policy
+from .policies import POLICY_NAMES, PolicyDecision, make_policy
 from .runner import ExperimentConfig, SweepSpec, alone_ipc, run, sweep
 from .simulator import SimConfig, Simulation
 from .trace import (

@@ -6,33 +6,41 @@ import argparse
 import csv
 import dataclasses
 import io
-import json
 import sys
 from pathlib import Path
 
 from . import runner
 from .metrics import SimReport, normalize_reports
 from .policies import POLICY_NAMES
-from .trace import InvalidSpec, PageClass, SynthSpec, Trace, generate, three_page_spec
+from .trace import InvalidSpec, PageClass, SynthSpec, generate, three_page_spec
+
+
+def _mib(text: str) -> int:
+    return int(text) << 20
 
 
 def _add_override_args(p: argparse.ArgumentParser):
+    # Each override's dest is the ExperimentConfig field it sets; an
+    # override left out keeps the config file's value (default None).
     p.add_argument("--config", help="experiment config file (INI-style)")
-    p.add_argument("--trace", action="append", default=None,
+    p.add_argument("--trace", dest="traces", action="append",
                    help="trace file; repeat for each application")
     p.add_argument("--policy", choices=POLICY_NAMES)
-    p.add_argument("--dram-mb", type=int, help="DRAM size in MiB")
-    p.add_argument("--nvm-mb", type=int, help="NVM size in MiB")
-    p.add_argument("--quantum", type=int, help="management quantum in cycles")
-    p.add_argument("--warmup", type=int, help="warmup instructions per app")
-    p.add_argument("--measured", type=int, help="measured instructions per app")
+    p.add_argument("--dram-mb", dest="dram_bytes", type=_mib, help="DRAM size in MiB")
+    p.add_argument("--nvm-mb", dest="nvm_bytes", type=_mib, help="NVM size in MiB")
+    p.add_argument("--quantum", dest="quantum_cycles", type=int,
+                   help="management quantum in cycles")
+    p.add_argument("--warmup", dest="warmup_instructions", type=int,
+                   help="warmup instructions per app")
+    p.add_argument("--measured", dest="measured_instructions", type=int,
+                   help="measured instructions per app")
     p.add_argument("--t-rcd-mult", type=float, help="NVM activation multiplier")
     p.add_argument("--t-wr-mult", type=float, help="NVM write-recovery multiplier")
     p.add_argument("--seed", type=int)
     p.add_argument("--no-alone", action="store_true",
                    help="skip alone runs (no speedup metrics)")
-    p.add_argument("--quantum-log", action="store_true",
-                   help="write per-quantum statistics CSV")
+    p.add_argument("--quantum-log", dest="collect_quantum_log", action="store_true",
+                   default=None, help="write per-quantum statistics CSV")
     p.add_argument("--debug-pages", type=int, metavar="K", default=0,
                    help="dump the top-K pages by utility to CSV")
     p.add_argument("--out", default="results", help="output directory")
@@ -44,31 +52,11 @@ def _resolve_config(args) -> tuple[runner.ExperimentConfig, runner.SweepSpec | N
     else:
         config, spec = runner.ExperimentConfig(), None
     updates = {}
-    if args.trace:
-        updates["traces"] = tuple(args.trace)
-    if args.policy:
-        updates["policy"] = args.policy
-    if args.dram_mb is not None:
-        updates["dram_bytes"] = args.dram_mb << 20
-    if args.nvm_mb is not None:
-        updates["nvm_bytes"] = args.nvm_mb << 20
-    if args.quantum is not None:
-        updates["quantum_cycles"] = args.quantum
-    if args.warmup is not None:
-        updates["warmup_instructions"] = args.warmup
-    if args.measured is not None:
-        updates["measured_instructions"] = args.measured
-    if args.t_rcd_mult is not None:
-        updates["t_rcd_mult"] = args.t_rcd_mult
-    if args.t_wr_mult is not None:
-        updates["t_wr_mult"] = args.t_wr_mult
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.quantum_log:
-        updates["collect_quantum_log"] = True
-    if updates:
-        config = dataclasses.replace(config, **updates)
-    return config, spec
+    for f in dataclasses.fields(config):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            updates[f.name] = tuple(value) if isinstance(value, list) else value
+    return dataclasses.replace(config, **updates), spec
 
 
 def _write_run_outputs(report: SimReport, outdir: Path, args, suffix: str = ""):
@@ -78,7 +66,7 @@ def _write_run_outputs(report: SimReport, outdir: Path, args, suffix: str = ""):
     sim = getattr(report, "_sim", None)
     if sim is None:
         return
-    if args.quantum_log and sim.quantum_log:
+    if sim.quantum_log:
         with open(outdir / f"quantum_log{suffix}.csv", "w", newline="") as fh:
             rows = sim.quantum_log
             keys = ["quantum", "cycle", "total_stall", "threshold",
@@ -114,11 +102,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     config, spec = _resolve_config(args)
     if args.axis:
-        if args.axis == "dram_size":
-            values = tuple(int(v) << 20 for v in args.values.replace(",", " ").split())
-        else:
-            values = tuple(tuple(float(x) for x in pair.replace(",", " ").split())
-                           for pair in args.values.split(";") if pair.strip())
+        values = runner.parse_sweep_values(args.axis, args.values or "", 1 << 20)
         spec = runner.SweepSpec(axis=args.axis, values=values)
     if spec is None:
         print("sweep: no sweep axis given (use --axis/--values or [sweep] section)",

@@ -18,18 +18,15 @@ from dataclasses import dataclass
 
 from .device import (
     Bank, DevTiming, DeviceGeometry, EnergyMeter,
-    READ, WRITE, ROW_HIT, ROW_MISS,
+    READ, ROW_HIT, ROW_MISS,
     classify_access, service_latency,
 )
+from .device import BUFFER_CHANNEL, DRAM_CHANNEL, NVM_CHANNEL  # noqa: F401  re-exported
 
 SYSTEM_APP = -1        # migration traffic; excluded from per-app accounting
 
 BLOCK_BYTES = 64       # cache-block transfer granularity
 BLOCK_BITS = BLOCK_BYTES * 8
-
-DRAM_CHANNEL = 0
-NVM_CHANNEL = 1
-BUFFER_CHANNEL = 2     # serviced from the migration buffer, no bank involved
 
 
 class MemRequest:

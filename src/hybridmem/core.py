@@ -45,7 +45,6 @@ class AppCore:
         self.kinds = [e.kind for e in events]
         self.n_events = len(events)
         self.idx = 0
-        self.wraps = 0
 
         self.rob_capacity = rob_capacity
         self.mshr_capacity = mshr_capacity
@@ -65,7 +64,6 @@ class AppCore:
         self.stall_anchor = 0
         self.stall_page = -1
         self.t_stall = 0
-        self.q_stall = 0   # since the last quantum boundary
 
         self.warm_pos = warmup_instructions
         self.done_pos = warmup_instructions + measured_instructions
@@ -117,7 +115,6 @@ class AppCore:
             self.idx += 1
             if self.idx == self.n_events:
                 self.idx = 0
-                self.wraps += 1
             self.next_mem_pos = self.tail + self.gaps[self.idx]
             req = self.sim.dispatch(self, addr, kind, self.cycle)
             if kind == READ:
@@ -147,7 +144,6 @@ class AppCore:
         if self.stall_mode != STALL_NONE and now > self.stall_anchor:
             span = now - self.stall_anchor
             self.t_stall += span
-            self.q_stall += span
             self.sim.on_stall(self, self.stall_page, span)
         self.stall_anchor = now
 

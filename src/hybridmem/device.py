@@ -19,7 +19,10 @@ WRITE = 1
 ROW_HIT = 0
 ROW_MISS = 1
 
-KIND_NAMES = {READ: "read", WRITE: "write"}
+# Where a request is served.
+DRAM_CHANNEL = 0
+NVM_CHANNEL = 1
+BUFFER_CHANNEL = 2     # serviced from the migration buffer, no bank involved
 
 
 @dataclass(frozen=True)
@@ -214,14 +217,8 @@ class EnergyMeter:
 
     def standby_joules(self, elapsed_cycles: int) -> float:
         seconds = elapsed_cycles * self.timing.clock_period_ns * 1e-9
-        watts = self.geometry.bits * self.standby_w_bit()
+        watts = self.geometry.bits * (self.timing.standby_uw_bit * 1e-6)
         return watts * seconds
-
-    def standby_w_bit(self) -> float:
-        return self.timing.standby_uw_bit * 1e-6
-
-    def total_joules(self, elapsed_cycles: int) -> float:
-        return self.dynamic_pj * 1e-12 + self.standby_joules(elapsed_cycles)
 
 
 # Baseline parameter sets (DDR3-style DRAM; PCM-style NVM). The NVM part

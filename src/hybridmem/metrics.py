@@ -11,7 +11,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 
 class MissingAloneRun(ValueError):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 
-from .device import READ, WRITE
+from .device import BUFFER_CHANNEL, DRAM_CHANNEL, NVM_CHANNEL, READ, WRITE
 
 # Block locations during a migration (monotonic per direction).
 IN_SRC = 0
@@ -32,10 +32,6 @@ TAG_MIGRATING = 1
 
 
 class MigrationError(Exception):
-    pass
-
-
-class MigrationInFlight(MigrationError):
     pass
 
 
@@ -87,15 +83,6 @@ class TagStore:
     def remove(self, page_id: int):
         self._set_of(page_id).pop(page_id, None)
 
-    def resident_count(self) -> int:
-        return sum(1 for s in self.sets for st in s.values() if st == TAG_VALID)
-
-    def resident_pages(self):
-        for s in self.sets:
-            for pid, st in s.items():
-                if st == TAG_VALID:
-                    yield pid
-
 
 class MigrationJob:
     """One promotion, preceded by a victim eviction when the set was full."""
@@ -119,7 +106,6 @@ class MigrationJob:
         self._set_channels()
 
     def _set_channels(self):
-        from .controller import DRAM_CHANNEL, NVM_CHANNEL
         if self.phase == EVICT:
             self.src_channel, self.dst_channel = DRAM_CHANNEL, NVM_CHANNEL
         else:
@@ -128,25 +114,24 @@ class MigrationJob:
     def phase_page(self) -> int:
         return self.victim if self.phase == EVICT else self.page
 
-    def location(self, page: int, block: int, dram_channel: int, nvm_channel: int,
-                 buffer_channel: int) -> int:
-        """Where a demand access to `block` of `page` must be routed now."""
+    def location(self, page: int, block: int) -> int:
+        """Channel a demand access to `block` of `page` must be routed to now."""
         if page == self.page:
             if self.phase == EVICT:
-                return nvm_channel  # promotion has not started moving yet
+                return NVM_CHANNEL  # promotion has not started moving yet
             state = self.block_state[block]
             if state == IN_SRC:
-                return nvm_channel
+                return NVM_CHANNEL
             if state == IN_BUFFER:
-                return buffer_channel
-            return dram_channel
+                return BUFFER_CHANNEL
+            return DRAM_CHANNEL
         # victim page mid-eviction
         state = self.block_state[block]
         if state == IN_SRC:
-            return dram_channel
+            return DRAM_CHANNEL
         if state == IN_BUFFER:
-            return buffer_channel
-        return nvm_channel
+            return BUFFER_CHANNEL
+        return NVM_CHANNEL
 
 
 class MigrationEngine:
@@ -171,12 +156,12 @@ class MigrationEngine:
 
     # -- residency ------------------------------------------------------------
 
-    def lookup(self, page_id: int):
-        """'dram' | 'nvm' | the in-flight MigrationJob covering the page."""
+    def route(self, page_id: int, block: int) -> int:
+        """Channel a demand access to `block` of `page_id` goes to now."""
         job = self.migrating.get(page_id)
         if job is not None:
-            return job
-        return "dram" if self.tag.resident(page_id) else "nvm"
+            return job.location(page_id, block)
+        return DRAM_CHANNEL if self.tag.resident(page_id) else NVM_CHANNEL
 
     # -- triggering -----------------------------------------------------------
 
@@ -192,15 +177,6 @@ class MigrationEngine:
         self.pending.append(page_id)
         self.start_jobs(cycle)
         return True
-
-    def start_migration(self, page_id: int, cycle: int):
-        """Immediate-start variant; raises instead of dropping."""
-        if page_id in self.migrating:
-            raise MigrationInFlight(f"page {page_id} is already migrating")
-        if self.tag.resident(page_id):
-            raise MigrationError(f"page {page_id} is already in DRAM")
-        self.pending.appendleft(page_id)
-        self.start_jobs(cycle)
 
     def start_jobs(self, cycle: int):
         while self.pending and len(self.jobs) < self.max_jobs:

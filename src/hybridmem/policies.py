@@ -25,19 +25,6 @@ class PolicyDecision:
     score: float = 0.0
 
 
-@dataclass(frozen=True)
-class PolicyConfig:
-    kind: str = "ubm"
-    quantum_cycles: int = 1_000_000
-    initial_threshold: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in POLICY_NAMES:
-            raise ValueError(f"unknown policy {self.kind!r}; pick one of {POLICY_NAMES}")
-        if self.quantum_cycles <= 0:
-            raise ValueError("quantum length must be positive")
-
-
 class PlacementPolicy:
     name = "base"
     uses_threshold = True

@@ -4,15 +4,23 @@ A run simulates the full workload mix, then re-simulates every trace in
 isolation (same configuration and policy) to obtain alone-run IPCs for the
 speedup metrics. Alone runs are cached by (trace digest, config hash,
 policy) so sweeps do not recompute them.
+
+Config files are INI-style. The keys of the `[experiment]` section are
+exactly the `ExperimentConfig` field names, each parsed by its field's
+type. The two list fields have their own formats: `traces` is a
+comma-separated list of paths, `preload_dram_pages` a comma- or
+space-separated list of page numbers. An optional `[sweep]` section has
+`axis` (`dram_size` or `nvm_latency`) and `values` (see
+`parse_sweep_values`).
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .controller import ControllerConfig
-from .device import DRAM_BASELINE, NVM_BASELINE, DeviceGeometry, load_timing
+from .device import DeviceGeometry, load_timing
 from .metrics import AppResult, EnergyReport, SimReport, config_hash
 from .simulator import SimConfig, Simulation
 from .trace import Trace
@@ -22,7 +30,7 @@ from .trace import Trace
 class ExperimentConfig:
     """Resolved description of one experiment point."""
 
-    traces: tuple = ()                # paths; in-memory traces may be passed to run()
+    traces: tuple[str, ...] = ()      # paths; in-memory traces may be passed to run()
     policy: str = "ubm"
     dram_bytes: int = 512 << 20
     nvm_bytes: int = 16 << 30
@@ -40,21 +48,14 @@ class ExperimentConfig:
     read_queue: int = 64
     write_buffer: int = 32
     migration_enabled: bool = True
-    preload_dram_pages: tuple = ()
+    preload_dram_pages: tuple[int, ...] = ()
     seed: int = 0
     max_cycles: int | None = None
     collect_quantum_log: bool = False
 
-    def validate(self):
-        if self.warmup_instructions + self.measured_instructions <= 0:
-            raise ValueError("warmup + measured instructions must be positive")
-        if self.measured_instructions <= 0:
-            raise ValueError("measured instruction count must be positive")
-        if self.dram_bytes <= 0 or self.nvm_bytes <= 0:
-            raise ValueError("device sizes must be positive")
-
     def sim_config(self) -> SimConfig:
-        self.validate()
+        shared = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name in _SIM_FIELDS}
         nvm_timing = load_timing(self.nvm_preset).scaled(self.t_rcd_mult,
                                                          self.t_wr_mult)
         return SimConfig(
@@ -68,43 +69,24 @@ class ExperimentConfig:
                                         row_buffer_bytes=self.page_bytes),
             controller=ControllerConfig(read_queue_capacity=self.read_queue,
                                         write_buffer_capacity=self.write_buffer),
-            policy=self.policy,
-            quantum_cycles=self.quantum_cycles,
-            sampling_period=self.sampling_period,
-            warmup_instructions=self.warmup_instructions,
-            measured_instructions=self.measured_instructions,
-            rob_capacity=self.rob_capacity,
-            mshr_capacity=self.mshr_capacity,
-            migration_enabled=self.migration_enabled,
-            preload_dram_pages=tuple(self.preload_dram_pages),
-            max_cycles=self.max_cycles,
-            collect_quantum_log=self.collect_quantum_log,
+            **shared,
         )
 
     def resolved(self) -> dict:
-        d = {
-            "traces": list(self.traces),
-            "policy": self.policy,
-            "dram_bytes": self.dram_bytes,
-            "nvm_bytes": self.nvm_bytes,
-            "dram_preset": self.dram_preset,
-            "nvm_preset": self.nvm_preset,
-            "t_rcd_mult": self.t_rcd_mult,
-            "t_wr_mult": self.t_wr_mult,
-            "page_bytes": self.page_bytes,
-            "quantum_cycles": self.quantum_cycles,
-            "sampling_period": self.sampling_period,
-            "warmup_instructions": self.warmup_instructions,
-            "measured_instructions": self.measured_instructions,
-            "rob_capacity": self.rob_capacity,
-            "mshr_capacity": self.mshr_capacity,
-            "read_queue": self.read_queue,
-            "write_buffer": self.write_buffer,
-            "migration_enabled": self.migration_enabled,
-            "preload_dram_pages": list(self.preload_dram_pages),
-            "seed": self.seed,
-        }
-        return d
+        """The fields that define the simulated result, tuples as lists."""
+        out = {}
+        for f in fields(self):
+            if f.name not in _RUN_CONTROL:
+                value = getattr(self, f.name)
+                out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
+
+
+# Fields copied one-to-one into SimConfig.
+_SIM_FIELDS = frozenset(f.name for f in fields(SimConfig))
+# Fields that only bound or instrument a run: kept out of resolved(), and so
+# out of the report's config block, its hash and the alone-run cache key.
+_RUN_CONTROL = frozenset({"max_cycles", "collect_quantum_log"})
 
 
 @dataclass(frozen=True)
@@ -117,6 +99,16 @@ class SweepSpec:
             raise ValueError(f"unknown sweep axis {self.axis!r}")
         if not self.values:
             raise ValueError("sweep needs at least one value")
+        for v in self.values:
+            if self.axis == "dram_size":
+                ok = isinstance(v, int) and v > 0
+                want = "a positive byte count"
+            else:
+                ok = (isinstance(v, (tuple, list)) and len(v) == 2
+                      and all(isinstance(x, (int, float)) and x > 0 for x in v))
+                want = "a pair of positive (t_rcd_mult, t_wr_mult) multipliers"
+            if not ok:
+                raise ValueError(f"{self.axis} sweep value {v!r} is not {want}")
         keys = [v if self.axis == "dram_size" else tuple(v) for v in self.values]
         if sorted(keys) != keys or len(set(keys)) != len(keys):
             raise ValueError("sweep values must be strictly increasing")
@@ -152,16 +144,12 @@ def run(config: ExperimentConfig, traces=None, alone: bool = True,
     apps = []
     for i, core in enumerate(sim.cores):
         win = sim.measured_window(i)
-        ipc = core.ipc()
-        if ipc is None:  # run hit max_cycles before this app finished
-            win_cycles = max(1, win["cycle"])
-            ipc = (core.head - core.warm_pos) / win_cycles
         apps.append(AppResult(
             app_id=i,
             name=core.name,
             instructions=config.measured_instructions,
             cycles=win["cycle"],
-            ipc_shared=ipc,
+            ipc_shared=_ipc(core, win),
             t_stall=win["t_stall"],
             t_delay=win["t_delay"],
             t_interference=win["t_interference"],
@@ -194,6 +182,18 @@ def run(config: ExperimentConfig, traces=None, alone: bool = True,
     return report
 
 
+def _ipc(core, win: dict) -> float:
+    """IPC over the measured window `win` of `core`.
+
+    A run cut off by max_cycles before the app finished gets the rate it
+    retired at since warmup, 0 if it never got past warmup.
+    """
+    ipc = core.ipc()
+    if ipc is None:
+        ipc = max(0, core.head - core.warm_pos) / max(1, win["cycle"])
+    return ipc
+
+
 def alone_ipc(config: ExperimentConfig, trace: Trace,
               cache: dict | None = None) -> float:
     """IPC of one trace run in isolation under the same config and policy."""
@@ -202,9 +202,7 @@ def alone_ipc(config: ExperimentConfig, trace: Trace,
     if cache is not None and key in cache:
         return cache[key]
     sim = _simulate(alone_cfg, [trace])
-    ipc = sim.cores[0].ipc()
-    if ipc is None:
-        ipc = sim.cores[0].head / max(1, sim.cycle)
+    ipc = _ipc(sim.cores[0], sim.measured_window(0))
     if cache is not None:
         cache[key] = ipc
     return ipc
@@ -228,53 +226,56 @@ def sweep(config: ExperimentConfig, spec: SweepSpec, traces=None,
 
 
 # ---------------------------------------------------------------------------
-# Config file parsing (INI-style: [experiment] and optional [sweep] sections)
+# Config file parsing
 
-_BOOL_KEYS = {"migration_enabled", "collect_quantum_log"}
-_INT_KEYS = {
-    "dram_bytes", "nvm_bytes", "page_bytes", "quantum_cycles",
-    "sampling_period", "warmup_instructions", "measured_instructions",
-    "rob_capacity", "mshr_capacity", "read_queue", "write_buffer",
-    "seed", "max_cycles",
+_CONFIG_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+# Parser of one INI value, by the field's annotated type.
+_FROM_TEXT = {
+    "str": str.strip,
+    "int": int,
+    "int | None": int,
+    "float": float,
+    "tuple[str, ...]": lambda raw: tuple(t.strip() for t in raw.split(",")
+                                         if t.strip()),
+    "tuple[int, ...]": lambda raw: tuple(int(t) for t in raw.replace(",", " ").split()),
 }
-_FLOAT_KEYS = {"t_rcd_mult", "t_wr_mult"}
+
+
+def parse_sweep_values(axis: str, text: str, dram_unit: int = 1) -> tuple:
+    """Sweep values from text.
+
+    dram_size: sizes separated by commas or spaces, in units of `dram_unit`
+    bytes; nvm_latency: 'rcd,wr;rcd,wr' multiplier pairs.
+    """
+    if axis == "dram_size":
+        return tuple(int(v) * dram_unit for v in text.replace(",", " ").split())
+    return tuple(tuple(float(x) for x in pair.replace(",", " ").split())
+                 for pair in text.split(";") if pair.strip())
 
 
 def load_experiment_config(path) -> tuple[ExperimentConfig, SweepSpec | None]:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise FileNotFoundError(path)
-    kwargs = {}
-    if parser.has_section("experiment"):
-        for key, raw in parser.items("experiment"):
-            if key == "traces":
-                kwargs["traces"] = tuple(t.strip() for t in raw.split(",") if t.strip())
-            elif key == "preload_dram_pages":
-                kwargs["preload_dram_pages"] = tuple(
-                    int(t) for t in raw.replace(",", " ").split())
-            elif key in _BOOL_KEYS:
-                kwargs[key] = parser.getboolean("experiment", key)
-            elif key in _INT_KEYS:
-                kwargs[key] = int(raw)
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(raw)
-            elif key in ("policy", "dram_preset", "nvm_preset"):
-                kwargs[key] = raw.strip()
-            else:
-                raise ValueError(f"{path}: unknown experiment key {key!r}")
-    config = ExperimentConfig(**kwargs)
-
-    spec = None
-    if parser.has_section("sweep"):
-        axis = parser.get("sweep", "axis")
-        raw = parser.get("sweep", "values")
-        if axis == "dram_size":
-            values = tuple(int(v) for v in raw.replace(",", " ").split())
-        else:
-            pairs = [p.strip() for p in raw.split(";") if p.strip()]
-            values = tuple(tuple(float(x) for x in p.replace(",", " ").split())
-                           for p in pairs)
-        spec = SweepSpec(axis=axis, values=values)
+    try:
+        if not parser.read(path):
+            raise FileNotFoundError(path)
+        kwargs = {}
+        if parser.has_section("experiment"):
+            section = parser["experiment"]
+            for key in section:
+                if key not in _CONFIG_FIELDS:
+                    raise ValueError(f"{path}: unknown experiment key {key!r}")
+                ftype = _CONFIG_FIELDS[key].type
+                try:
+                    kwargs[key] = (section.getboolean(key) if ftype == "bool"
+                                   else _FROM_TEXT[ftype](section[key]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: {key}: {exc}") from exc
+        spec = None
+        if parser.has_section("sweep"):
+            axis = parser.get("sweep", "axis")
+            spec = SweepSpec(axis, parse_sweep_values(axis, parser.get("sweep", "values")))
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if spec is not None:
         spec.validate()
-    return config, spec
+    return ExperimentConfig(**kwargs), spec

@@ -13,17 +13,16 @@ at events.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ubm
 from .controller import (
-    BLOCK_BYTES, BUFFER_CHANNEL, ChannelController, ControllerConfig,
-    DRAM_CHANNEL, MemRequest, NVM_CHANNEL, SYSTEM_APP,
+    BLOCK_BYTES, ChannelController, ControllerConfig, MemRequest, SYSTEM_APP,
 )
 from .core import AppCore
 from .device import (
-    DRAM_BASELINE, NVM_BASELINE, DevTiming, DeviceGeometry, EnergyMeter,
-    READ, WRITE,
+    BUFFER_CHANNEL, DRAM_BASELINE, DRAM_CHANNEL, NVM_BASELINE, NVM_CHANNEL,
+    DevTiming, DeviceGeometry, EnergyMeter, READ, WRITE,
 )
 from .migration import MigrationEngine, TagStore
 from .policies import PROMOTE, make_policy
@@ -129,18 +128,19 @@ class Simulation:
         self.n_read_out = [0] * n
         self.n_write_out = [0] * n
         self._delay_anchor = [None] * n
-        self.q_delay = [0] * n
         self.t_delay = [0] * n
-        self.q_interference = [0] * n    # sum of per-request blocked shares
-        self.t_interference = [0] * n
-        self.q_outstanding = [0] * n     # sum of per-request lifetimes
-        self.t_outstanding = [0] * n
+        self.t_interference = [0] * n    # sum of per-request blocked shares
+        self.t_outstanding = [0] * n     # sum of per-request lifetimes
         self.app_reads = [0] * n
         self.app_writes = [0] * n
         self.app_row_hits = [0] * n
         self.app_row_misses = [0] * n
         self.speedup_est = [1.0] * n      # previous-quantum estimate, quantized
-        self._marker_snaps = [{} for _ in range(n)]
+        # Counter snapshots at the last quantum boundary, and at the warmup
+        # and completion markers; every counter is zero at cycle 0, which
+        # stands in for an uncrossed warmup marker.
+        self._quantum_snaps = [self._snapshot(i, 0) for i in range(n)]
+        self._marker_snaps = [{"warm": snap} for snap in self._quantum_snaps]
         self._done_count = 0
 
         self.page_stall = {}              # page -> attributed stall cycles
@@ -212,18 +212,8 @@ class Simulation:
             self.page_stall[page] = self.page_stall.get(page, 0) + span
 
     def on_app_marker(self, core: AppCore, which: str, marker_cycle: int):
-        snap = {
-            "cycle": marker_cycle,
-            "t_stall": core.t_stall,
-            "t_delay": self.t_delay[core.app_id],
-            "t_interference": self.t_interference[core.app_id],
-            "t_outstanding": self.t_outstanding[core.app_id],
-            "reads": self.app_reads[core.app_id],
-            "writes": self.app_writes[core.app_id],
-            "row_hits": self.app_row_hits[core.app_id],
-            "row_misses": self.app_row_misses[core.app_id],
-        }
-        self._marker_snaps[core.app_id][which] = snap
+        self._marker_snaps[core.app_id][which] = self._snapshot(core.app_id,
+                                                                marker_cycle)
         if which == "done":
             self._done_count += 1
             if self._done_count == len(self.cores):
@@ -231,17 +221,8 @@ class Simulation:
 
     # -- request flow -------------------------------------------------------
 
-    def _route(self, req: MemRequest):
-        loc = self.engine.lookup(req.page_id)
-        if loc == "dram":
-            return DRAM_CHANNEL
-        if loc == "nvm":
-            return NVM_CHANNEL
-        return loc.location(req.page_id, req.mig_block,
-                            DRAM_CHANNEL, NVM_CHANNEL, BUFFER_CHANNEL)
-
     def _inject(self, req: MemRequest, cycle: int) -> bool:
-        channel = self._route(req)
+        channel = self.engine.route(req.page_id, req.mig_block)
         req.channel = channel
         if channel == BUFFER_CHANNEL:
             req.arrival_cycle = cycle
@@ -318,15 +299,9 @@ class Simulation:
             req.done = True
             self.n_write_out[app] -= 1
         if self.n_read_out[app] + self.n_write_out[app] == 0:
-            anchor = self._delay_anchor[app]
-            if anchor is not None:
-                span = cycle - anchor
-                self.q_delay[app] += span
-                self.t_delay[app] += span
-                self._delay_anchor[app] = None
-        self.q_interference[app] += req.interference_delay
+            self._settle_delay(app, cycle)
+            self._delay_anchor[app] = None
         self.t_interference[app] += req.interference_delay
-        self.q_outstanding[app] += cycle - req.dispatch_cycle
         self.t_outstanding[app] += cycle - req.dispatch_cycle
         if req.channel == NVM_CHANNEL:
             self.hot.on_complete(req.page_id, app, req.kind == WRITE, self.store)
@@ -383,31 +358,34 @@ class Simulation:
         if self.hot.entries:
             self.hot.sample(self.n_read_out, self.n_write_out, count=ticks)
 
-    def _end_quantum(self, cycle: int):
-        q = self.config.quantum_cycles
-        total_stall = 0
-        speedups = []
+    def _settle_delay(self, app: int, cycle: int):
+        """Close the app's open memory-busy span at `cycle` into T_delay."""
+        anchor = self._delay_anchor[app]
+        if anchor is not None and cycle > anchor:
+            self.t_delay[app] += cycle - anchor
+            self._delay_anchor[app] = cycle
+
+    def _settle(self, cycle: int):
+        """Bring every core and every open stall/delay span up to `cycle`."""
         for i, core in enumerate(self.cores):
             core.advance(cycle)
             core.settle_open_spans()
-            anchor = self._delay_anchor[i]
-            if anchor is not None and cycle > anchor:
-                span = cycle - anchor
-                self.q_delay[i] += span
-                self.t_delay[i] += span
-                self._delay_anchor[i] = cycle
-            # Per-request blocked shares double-count parallel waits; rescale
-            # by the request-cycle integral so the interfered fraction of
-            # T_delay is concurrency-weighted and never exceeds T_delay.
-            if self.q_outstanding[i] > 0:
-                frac = self.q_interference[i] / self.q_outstanding[i]
-                t_int = min(self.q_delay[i], int(frac * self.q_delay[i]))
-            else:
-                t_int = 0
-            s = ubm.estimate_speedup(core.q_stall, t_int, self.q_delay[i], q)
+            self._settle_delay(i, cycle)
+
+    def _end_quantum(self, cycle: int):
+        q = self.config.quantum_cycles
+        self._settle(cycle)
+        total_stall = 0
+        speedups = []
+        for i in range(len(self.cores)):
+            snap = self._snapshot(i, cycle)
+            win = self._window(self._quantum_snaps[i], snap)
+            self._quantum_snaps[i] = snap
+            s = ubm.estimate_speedup(win["t_stall"], win["t_interference"],
+                                     win["t_delay"], q)
             self.speedup_est[i] = ubm.quantize_speedup(s)
             speedups.append(self.speedup_est[i])
-            total_stall += core.q_stall
+            total_stall += win["t_stall"]
         if self.policy.uses_threshold:
             self.threshold.end_quantum(total_stall)
         if self.config.stat_decay:
@@ -424,11 +402,6 @@ class Simulation:
                 "pages_promoted": self.engine.pages_promoted,
                 "pages_evicted": self.engine.pages_evicted,
             })
-        for i, core in enumerate(self.cores):
-            core.q_stall = 0
-            self.q_delay[i] = 0
-            self.q_interference[i] = 0
-            self.q_outstanding[i] = 0
         self.quantum_index += 1
         self._push(cycle + q, _EV_QUANTUM, None)
 
@@ -476,46 +449,42 @@ class Simulation:
                 if self.finished:
                     break
         self._catch_up_samples(self.cycle + 1)
-        for i, core in enumerate(self.cores):
-            core.advance(self.cycle)
-            core.settle_open_spans()
-            anchor = self._delay_anchor[i]
-            if anchor is not None and self.cycle > anchor:
-                span = self.cycle - anchor
-                self.q_delay[i] += span
-                self.t_delay[i] += span
-                self._delay_anchor[i] = self.cycle
+        self._settle(self.cycle)
         return self
 
     # -- results ----------------------------------------------------------
 
-    def measured_window(self, app_id: int) -> dict:
-        """Counter deltas between the warmup and completion markers."""
-        snaps = self._marker_snaps[app_id]
-        if "warm" not in snaps:
-            snaps["warm"] = {k: 0 for k in ("cycle", "t_stall", "t_delay",
-                                            "t_interference", "t_outstanding",
-                                            "reads", "writes",
-                                            "row_hits", "row_misses")}
-        warm = snaps["warm"]
-        done = snaps.get("done") or {
-            "cycle": self.cycle,
-            "t_stall": self.cores[app_id].t_stall,
-            "t_delay": self.t_delay[app_id],
-            "t_interference": self.t_interference[app_id],
-            "t_outstanding": self.t_outstanding[app_id],
-            "reads": self.app_reads[app_id],
-            "writes": self.app_writes[app_id],
-            "row_hits": self.app_row_hits[app_id],
-            "row_misses": self.app_row_misses[app_id],
+    def _snapshot(self, app: int, cycle: int) -> dict:
+        """The app's accounting counters as they stand, stamped `cycle`."""
+        return {
+            "cycle": cycle,
+            "t_stall": self.cores[app].t_stall,
+            "t_delay": self.t_delay[app],
+            "t_interference": self.t_interference[app],
+            "t_outstanding": self.t_outstanding[app],
+            "reads": self.app_reads[app],
+            "writes": self.app_writes[app],
+            "row_hits": self.app_row_hits[app],
+            "row_misses": self.app_row_misses[app],
         }
-        win = {k: done[k] - warm[k] for k in warm}
-        # Blocked-share sums double-count parallel waits; report the
-        # concurrency-weighted interference so T_interference <= T_delay.
+
+    @staticmethod
+    def _window(start: dict, end: dict) -> dict:
+        """Counter deltas from snapshot `start` to snapshot `end`."""
+        win = {k: end[k] - start[k] for k in start}
+        # Per-request blocked shares double-count parallel waits; rescale
+        # by the request-cycle integral so the interfered fraction of
+        # T_delay is concurrency-weighted and never exceeds T_delay.
         if win["t_outstanding"] > 0:
             frac = win["t_interference"] / win["t_outstanding"]
             win["t_interference"] = min(win["t_delay"], int(frac * win["t_delay"]))
         return win
+
+    def measured_window(self, app_id: int) -> dict:
+        """Counter deltas between the warmup and completion markers."""
+        snaps = self._marker_snaps[app_id]
+        done = snaps.get("done") or self._snapshot(app_id, self.cycle)
+        return self._window(snaps["warm"], done)
 
     def total_energy_joules(self) -> tuple[float, float, float, float]:
         c = self.cycle

@@ -13,9 +13,10 @@ per-page parallelism (back-to-back bursts over distinct pages).
 
 from __future__ import annotations
 
+import hashlib
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .device import READ, WRITE
@@ -86,7 +87,6 @@ class Trace:
         save_trace(path, self.header, self.events)
 
     def digest(self) -> str:
-        import hashlib
         h = hashlib.sha256()
         h.update(f"{self.header.app}|{self.header.instructions}|"
                  f"{self.header.address_space}".encode())

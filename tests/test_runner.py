@@ -1,0 +1,194 @@
+"""End-to-end tests of the runner and the CLI: trace -> simulation -> report."""
+
+import ast
+import dataclasses
+import re
+from pathlib import Path
+
+import pytest
+
+import hybridmem
+from hybridmem import cli, runner
+from hybridmem.runner import ExperimentConfig, load_experiment_config
+from hybridmem.trace import PageClass, SynthSpec, generate
+
+SRC = Path(hybridmem.__file__).resolve().parent
+
+
+def _write_traces(tmp_path, n=2, accesses=1500):
+    paths = []
+    for i in range(n):
+        spec = SynthSpec(name=f"app{i}", target_mpki=20.0 + 10 * i,
+                         classes=(PageClass(pages=96, burst=2, row_hit_prob=0.3),
+                                  PageClass(pages=16, weight=3.0)),
+                         seed=i, first_page=200 * i)
+        path = tmp_path / f"app{i}.hmt"
+        generate(spec, accesses).save(path)
+        paths.append(str(path))
+    return tuple(paths)
+
+
+def _tiny_config(traces, **overrides) -> ExperimentConfig:
+    base = dict(traces=traces, dram_bytes=1 << 20, nvm_bytes=16 << 20,
+                quantum_cycles=5000, warmup_instructions=2000,
+                measured_instructions=20000)
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def test_run_is_deterministic(tmp_path):
+    config = _tiny_config(_write_traces(tmp_path))
+    first = runner.run(config).to_json()
+    second = runner.run(config).to_json()
+    assert first == second
+    assert runner.run(config).weighted_speedup > 0
+
+
+def test_cut_off_run_and_alone_run_share_one_ipc_rule(tmp_path):
+    traces = _write_traces(tmp_path, n=1)
+    trace = hybridmem.Trace.from_file(traces[0])
+    for max_cycles in (200, 3000):   # before and after the warmup marker
+        config = _tiny_config(traces, max_cycles=max_cycles)
+        report = runner.run(config, alone=False)
+        ipc = report.apps[0].ipc_shared
+        assert ipc >= 0
+        assert ipc == runner.alone_ipc(config, trace)
+        if max_cycles == 200:
+            assert ipc == 0
+
+
+# -- config file ---------------------------------------------------------------
+
+def _non_default(f):
+    default = f.default
+    if f.type == "bool":
+        return not default
+    if f.type == "tuple[str, ...]":
+        return ("a.hmt", "b.hmt")
+    if f.type == "tuple[int, ...]":
+        return (3, 5)
+    if f.type == "float":
+        return default + 0.5
+    if f.type == "str":
+        return {"policy": "freq"}.get(f.name, default + "-x")
+    return 7 if default is None else 2 * (default or 1)   # sizes stay whole MiB
+
+
+def _ini_text(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(map(str, value))
+    return str(value)
+
+
+def test_ini_round_trip_and_cli_flags_match(tmp_path):
+    values = {f.name: _non_default(f) for f in dataclasses.fields(ExperimentConfig)}
+    expected = ExperimentConfig(**values)
+    assert all(getattr(expected, f.name) != f.default
+               for f in dataclasses.fields(ExperimentConfig))
+
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\n" + "".join(
+        f"{k} = {_ini_text(v)}\n" for k, v in values.items()))
+    loaded, spec = load_experiment_config(ini)
+    assert spec is None
+    assert loaded == expected
+
+    # Every field with a CLI flag is set by its flag, the rest by a file.
+    flags = {"policy": "--policy", "quantum_cycles": "--quantum",
+             "warmup_instructions": "--warmup",
+             "measured_instructions": "--measured",
+             "t_rcd_mult": "--t-rcd-mult", "t_wr_mult": "--t-wr-mult",
+             "seed": "--seed"}
+    mib_flags = {"dram_bytes": "--dram-mb", "nvm_bytes": "--nvm-mb"}
+    argv = ["run", "--quantum-log"]
+    argv += [a for t in values["traces"] for a in ("--trace", t)]
+    argv += [a for k, flag in flags.items() for a in (flag, str(values[k]))]
+    argv += [a for k, flag in mib_flags.items() for a in (flag, str(values[k] >> 20))]
+    on_cli = {"traces", "collect_quantum_log", *flags, *mib_flags}
+    rest = tmp_path / "rest.ini"
+    rest.write_text("[experiment]\n" + "".join(
+        f"{k} = {_ini_text(v)}\n" for k, v in values.items() if k not in on_cli))
+    args = cli.build_parser().parse_args(argv + ["--config", str(rest)])
+    from_cli, _ = cli._resolve_config(args)
+    assert from_cli == expected
+
+
+@pytest.mark.parametrize("text, message", [
+    ("policy = ubm\n", "no section headers"),
+    ("[sweep]\naxis = dram_size\n", "No option 'values'"),
+    ("[sweep]\naxis = nvm_latency\nvalues = 1,1,1; 2,2,2\n",
+     "nvm_latency sweep value (1.0, 1.0, 1.0) is not a pair"),
+    ("[sweep]\naxis = dram_size\nvalues = 0 1024\n",
+     "dram_size sweep value 0 is not a positive byte count"),
+])
+def test_bad_config_fails_with_clear_message(tmp_path, capsys, text, message):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_experiment_config(ini)
+    assert cli.main(["sweep", "--config", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+# -- CLI -------------------------------------------------------------------------
+
+def test_cli_tracegen_run_report(tmp_path, capsys):
+    traces = []
+    for i, mpki in enumerate((25, 8)):
+        path = tmp_path / f"t{i}.hmt"
+        assert cli.main(["tracegen", "--out", str(path), "--accesses", "1500",
+                         "--mpki", str(mpki), "--pages", "128",
+                         "--seed", str(i)]) == 0
+        traces += ["--trace", str(path)]
+    out = tmp_path / "out"
+    common = traces + ["--dram-mb", "1", "--nvm-mb", "16", "--quantum", "5000",
+                       "--measured", "20000"]
+    assert cli.main(["run", *common, "--policy", "ubm", "--out", str(out / "ubm"),
+                     "--debug-pages", "5"]) == 0
+    assert cli.main(["run", *common, "--policy", "all", "--out", str(out / "all")]) == 0
+    for policy in ("ubm", "all"):
+        assert (out / policy / "report.json").is_file()
+        assert (out / policy / "report.csv").is_file()
+        assert not (out / policy / "quantum_log.csv").exists()
+    assert (out / "ubm" / "top_pages.csv").is_file()
+
+    merged = tmp_path / "merged.csv"
+    assert cli.main(["report", str(out / "ubm" / "report.json"),
+                     str(out / "all" / "report.json"), "--baseline", "all",
+                     "--out", str(merged)]) == 0
+    lines = merged.read_text().splitlines()
+    assert lines[0].startswith("policy,config_hash,weighted_speedup")
+    assert lines[1].startswith("ubm,") and lines[2].startswith("all,")
+    assert any(line.startswith("all,1.0,1.0,1.0") for line in lines)
+
+
+def test_quantum_log_from_config_file_is_written(tmp_path):
+    traces = _write_traces(tmp_path, n=1)
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\n"
+                   f"traces = {traces[0]}\n"
+                   "dram_bytes = 1048576\nnvm_bytes = 16777216\n"
+                   "quantum_cycles = 5000\nmeasured_instructions = 20000\n"
+                   "collect_quantum_log = true\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(ini), "--no-alone",
+                     "--out", str(out)]) == 0
+    rows = (out / "quantum_log.csv").read_text().splitlines()
+    assert rows[0].startswith("quantum,cycle,total_stall,threshold")
+    assert len(rows) > 2
+
+
+# -- source rules ----------------------------------------------------------------
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_imports_inside_functions(module):
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    offenders = [
+        f"{module}:{node.lineno}"
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not offenders, f"import inside a function body: {offenders}"
