@@ -159,6 +159,9 @@ class Simulation:
     # -- scheduling primitives --------------------------------------------
 
     def _push(self, cycle: int, prio: int, payload):
+        if cycle < self.cycle:
+            raise RuntimeError(f"event (priority {prio}) scheduled at cycle "
+                               f"{cycle}, before the current cycle {self.cycle}")
         self._seq += 1
         heapq.heappush(self._heap, (cycle, prio, self._seq, payload))
 
@@ -254,6 +257,9 @@ class Simulation:
             pend = core.pending_inject
             progressed = False
             while pend and self._inject(pend[0], cycle):
+                # Settle to `cycle` with the gate still closed, or the core
+                # would resume dispatching from its stale cycle.
+                core.advance(cycle)
                 pend.popleft()
                 self._parked -= 1
                 progressed = True
