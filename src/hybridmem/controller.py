@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .device import (
     Bank, DevTiming, DeviceGeometry, EnergyMeter,
-    READ, ROW_HIT, ROW_MISS,
+    READ, ROW_HIT, ROW_MISS, WRITE,
     classify_access, service_latency,
 )
 from .device import BUFFER_CHANNEL, DRAM_CHANNEL, NVM_CHANNEL  # noqa: F401  re-exported
@@ -90,6 +90,15 @@ class ControllerConfig:
             raise ValueError("migration read reserve must fit in the read queue")
         if not 0 <= self.migration_reserve_writes < self.write_buffer_capacity:
             raise ValueError("migration write reserve must fit in the write buffer")
+        # Demand writes alone must be able to start a drain, or a core gated
+        # on a full write buffer waits forever. An idle drain (ROADMAP item 1)
+        # would lift this rule.
+        cap, reserve = self.write_buffer_capacity, self.migration_reserve_writes
+        if cap - reserve <= self.drain_high_watermark * cap:
+            raise ValueError(
+                f"write buffer of {cap} with {reserve} slots reserved for migration "
+                f"leaves demand writes {cap - reserve} slots, not above the drain "
+                f"watermark {self.drain_high_watermark} x {cap}; no drain could start")
 
 
 class ChannelController:
@@ -103,6 +112,10 @@ class ChannelController:
         self.config = config
         self.energy = energy
         self.banks = [Bank() for _ in range(geometry.banks)]
+        self.latency = [[service_latency(timing, k, o) for o in (ROW_HIT, ROW_MISS)]
+                        for k in (READ, WRITE)]   # by [kind][outcome]
+        if min(min(row) for row in self.latency) < 1:
+            raise ValueError(f"{timing.name}: a service latency rounds to 0 cycles")
         self.read_wait = [[] for _ in range(geometry.banks)]
         self.write_wait = [[] for _ in range(geometry.banks)]
         self.read_waiting = 0     # not yet issued
@@ -110,6 +123,9 @@ class ChannelController:
         self.read_occupancy = 0   # waiting + in service
         self.write_occupancy = 0
         self.draining = False
+        # Set by try_issue: a request on a bank other than the last winner's
+        # was ready, so the next cycle may issue too.
+        self.more_ready = False
         self._high = config.drain_high_watermark * config.write_buffer_capacity
         self._low = config.drain_low_watermark * config.write_buffer_capacity
         # Cumulative statistics (quantum deltas are taken by the simulator).
@@ -150,6 +166,8 @@ class ChannelController:
             if not self.draining and self.write_occupancy > self._high:
                 self.draining = True
         req.arrival_cycle = cycle
+        if req.app_id == SYSTEM_APP:
+            return True   # _service attributes no interference to migrations
         bank = self.banks[req.bank_id]
         req.snap_busy_total = bank.busy_total_at(cycle)
         req.snap_busy_app = bank.busy_app_at(cycle, req.app_id)
@@ -169,9 +187,6 @@ class ChannelController:
             self.write_occupancy -= 1
             if self.draining and self.write_occupancy <= self._low:
                 self.draining = False
-
-    def pending_work(self) -> bool:
-        return self.read_waiting > 0 or self.write_waiting > 0
 
     # -- scheduling -----------------------------------------------------------
 
@@ -199,6 +214,7 @@ class ChannelController:
         In drain mode writes take priority; otherwise reads do, and writes
         are only considered when enabled by opportunistic_writes.
         """
+        self.more_ready = False
         if self.read_waiting == 0 and self.write_waiting == 0:
             return None
         reads = self._candidates(self.read_wait, cycle) if self.read_waiting else []
@@ -227,13 +243,20 @@ class ChannelController:
             for r in writes:
                 if r is not winner and r.app_id not in (w_app, SYSTEM_APP):
                     r.interference_delay += 1
+        # Each list holds at most one candidate per bank, so a bank other
+        # than the winner's was ready iff a list holds two, or a read and a
+        # write sit on different banks.
+        if len(reads) > 1 or len(writes) > 1:
+            self.more_ready = True
+        elif reads and writes:
+            self.more_ready = reads[0].bank_id != writes[0].bank_id
         self._service(winner, cycle)
         return winner
 
     def _service(self, req: MemRequest, cycle: int):
         bank = self.banks[req.bank_id]
         outcome = classify_access(bank, req.row_id)
-        latency = service_latency(self.timing, req.kind, outcome)
+        latency = self.latency[req.kind][outcome]
         req.outcome = outcome
         req.issue_cycle = cycle
         req.completion_cycle = cycle + latency
@@ -256,8 +279,7 @@ class ChannelController:
                 own = bank.opens_app.get(req.app_id, 0) - req.snap_opens_app
                 sys_ = bank.opens_app.get(SYSTEM_APP, 0) - req.snap_opens_sys
                 if opens - own - sys_ > 0:
-                    hit_lat = service_latency(self.timing, req.kind, ROW_HIT)
-                    req.interference_delay += latency - hit_lat
+                    req.interference_delay += latency - self.latency[req.kind][ROW_HIT]
 
         if req.kind == READ:
             self.read_wait[req.bank_id].remove(req)

@@ -9,7 +9,6 @@ cycles through the clock period.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace, fields
-from functools import lru_cache
 
 # Request kinds / row-buffer outcomes. Plain ints: these sit on the
 # simulator's hottest paths.
@@ -177,12 +176,10 @@ def service_latency(timing: DevTiming, kind: int, outcome: int) -> int:
     return timing.cycles(ns)
 
 
-@lru_cache(maxsize=64)
 def read_miss_latency(timing: DevTiming) -> int:
     return service_latency(timing, READ, ROW_MISS)
 
 
-@lru_cache(maxsize=64)
 def write_miss_latency(timing: DevTiming) -> int:
     return service_latency(timing, WRITE, ROW_MISS)
 

@@ -90,7 +90,7 @@ class MigrationJob:
     __slots__ = (
         "page", "victim", "phase", "blocks", "block_state",
         "next_read", "writes_done", "inflight", "pending_writes",
-        "src_channel", "dst_channel",
+        "src_channel", "dst_channel", "blocked",
     )
 
     def __init__(self, page: int, victim: int | None, blocks: int):
@@ -103,6 +103,7 @@ class MigrationJob:
         self.writes_done = 0
         self.inflight = 0
         self.pending_writes = deque()
+        self.blocked = False   # the last pump stopped on a full queue
         self._set_channels()
 
     def _set_channels(self):
@@ -202,14 +203,17 @@ class MigrationEngine:
     # -- traffic pumping ------------------------------------------------------
 
     def pump(self, cycle: int):
-        for job in list(self.jobs):
-            self.pump_job(job, cycle)
+        """Re-pump the jobs stopped on a full queue, after a slot freed."""
+        for job in self.jobs:
+            if job.blocked:
+                self.pump_job(job, cycle)
         if self.pending:
             self.start_jobs(cycle)
 
     def pump_job(self, job: MigrationJob, cycle: int):
         # Buffered blocks head for the destination first; that frees buffer
         # space and bounds the job's footprint.
+        job.blocked = False
         if job.pending_writes:
             page = job.phase_page()
             while job.pending_writes:
@@ -217,6 +221,7 @@ class MigrationEngine:
                                                 job.pending_writes[0],
                                                 job.dst_channel, cycle)
                 if req is None:
+                    job.blocked = True
                     break
                 job.pending_writes.popleft()
                 self.traffic_bytes += self.sim.block_bytes
@@ -227,6 +232,7 @@ class MigrationEngine:
                 req = self.sim.inject_migration(job, READ, page, job.next_read,
                                                 job.src_channel, cycle)
                 if req is None:
+                    job.blocked = True
                     break
                 job.next_read += 1
                 job.inflight += 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ubm import StatStore, stall_time_reduction
+from .ubm import StatStore, gap_stall_reduction
 
 POLICY_NAMES = ("all", "freq", "rbla", "ubm-st", "ubm")
 
@@ -76,7 +76,7 @@ class StallTimePolicy(PlacementPolicy):
     name = "ubm-st"
 
     def score(self, page_id, store, ctx):
-        return sum(stall_time_reduction(e, ctx.dram_timing, ctx.nvm_timing)
+        return sum(gap_stall_reduction(e, ctx.latency_gaps)
                    for e in store.entries_for_page(page_id))
 
 
@@ -87,7 +87,7 @@ class UtilityPolicy(PlacementPolicy):
     name = "ubm"
 
     def score(self, page_id, store, ctx):
-        return sum(stall_time_reduction(e, ctx.dram_timing, ctx.nvm_timing)
+        return sum(gap_stall_reduction(e, ctx.latency_gaps)
                    * ctx.sensitivity(e.app_id)
                    for e in store.entries_for_page(page_id))
 

@@ -8,6 +8,15 @@ migration pumping, one command issue per channel), then quantum
 bookkeeping. MLP sampling runs on a fixed period and is batched across
 event gaps, which is exact because outstanding-request state only changes
 at events.
+
+No event is ever scheduled before the current cycle (`_push` raises), so
+simulated time only moves forward. The service phase relies on that: it
+runs only in cycles where its work can change something. Every enqueue
+and every completion requests a phase in its own cycle. A bank frees
+exactly at its request's completion, so the only other phase needed is
+the one at `cycle + 1` after an issue that left a ready request on another
+bank. Migration jobs are re-pumped only after a queue slot freed, because
+every other change to a job pumps it on the spot.
 """
 
 from __future__ import annotations
@@ -118,6 +127,8 @@ class Simulation:
         self.hot = HotPageCounters()
         self.policy = make_policy(config.policy)
         self.threshold = ThresholdController()
+        # NVM-DRAM (read, write) miss-latency gaps the policies score with.
+        self.latency_gaps = ubm.latency_gaps(config.dram_timing, config.nvm_timing)
 
         self.cores = [
             AppCore(self, i, tr, config.rob_capacity, config.mshr_capacity,
@@ -151,6 +162,7 @@ class Simulation:
         self._phase_cycle = -1
         self._next_sample = config.sampling_period
         self._parked = 0
+        self._slot_freed = False   # a queue slot freed since the last pump
 
         self._push(config.quantum_cycles, _EV_QUANTUM, None)
         for core in self.cores:
@@ -179,15 +191,7 @@ class Simulation:
             self._phase_cycle = cycle
             self._push(cycle, _EV_PHASE, None)
 
-    # -- sensitivity interface for the policy ------------------------------
-
-    @property
-    def dram_timing(self):
-        return self.config.dram_timing
-
-    @property
-    def nvm_timing(self):
-        return self.config.nvm_timing
+    # -- scoring interface for the policy ------------------------------------
 
     def sensitivity(self, app_id: int) -> float:
         return ubm.sensitivity(self.speedup_est[app_id], self.config.quantum_cycles)
@@ -288,6 +292,7 @@ class Simulation:
     def _complete(self, req: MemRequest, cycle: int):
         if req.channel != BUFFER_CHANNEL:
             self.controllers[req.channel].on_complete(req)
+            self._slot_freed = True
         if not req.is_demand:
             job = req.mig_job
             if req.kind == READ:
@@ -414,17 +419,17 @@ class Simulation:
     def _phase(self, cycle: int):
         if self._parked:
             self._retry_parked(cycle)
-        if self.engine.jobs or self.engine.pending:
+        if self._slot_freed and (self.engine.jobs or self.engine.pending):
+            self._slot_freed = False   # re-pump the jobs stopped on a full queue
             self.engine.pump(cycle)
-        issued = False
+        again = False
         for ctrl in self.controllers:
             req = ctrl.try_issue(cycle)
             if req is not None:
-                issued = True
+                again = again or ctrl.more_ready
                 self.on_issue(req)
                 self._push(req.completion_cycle, _EV_COMPLETE, req)
-        if issued and (self.controllers[0].pending_work()
-                       or self.controllers[1].pending_work()):
+        if again:
             self._ensure_phase(cycle + 1)
 
     # -- main loop --------------------------------------------------------
@@ -504,7 +509,8 @@ class Simulation:
         rows = []
         for e in self.store.iter_entries():
             r_read, r_write = ubm.avg_mlp_ratio(e)
-            dstall = ubm.stall_time_reduction(e, self.dram_timing, self.nvm_timing)
+            dstall = ubm.stall_time_reduction(e, self.config.dram_timing,
+                                              self.config.nvm_timing)
             rows.append({
                 "page": e.page_id,
                 "app": e.app_id,

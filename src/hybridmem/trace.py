@@ -17,6 +17,7 @@ import hashlib
 import random
 import struct
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, NamedTuple
 
 from .device import READ, WRITE
@@ -47,6 +48,10 @@ class TraceEvent(NamedTuple):
     inst_gap: int
     address: int
     kind: int  # READ or WRITE
+
+
+# TraceEvent from a 3-tuple, in C; TraceEvent._make is a Python call.
+_new_event = partial(tuple.__new__, TraceEvent)
 
 
 @dataclass
@@ -174,26 +179,16 @@ def load_trace(path):
 
 def _iter_binary(fh, path, offset) -> Iterator[TraceEvent]:
     size = _RECORD.size
-    unpack = _RECORD.unpack
     with fh:
-        while True:
-            chunk = fh.read(size * 4096)
-            if not chunk:
-                return
-            n, rem = divmod(len(chunk), size)
-            if rem:
-                tail = fh.read(size - rem)
-                if tail:
-                    chunk += tail
-                    n, rem = divmod(len(chunk), size)
-            if rem:
-                raise MalformedRecord(path, offset + n * size, "truncated record")
-            for i in range(n):
-                g, a, k = unpack(chunk[i * size:(i + 1) * size])
-                if k not in (READ, WRITE):
-                    raise MalformedRecord(path, offset + i * size, f"bad kind byte {k}")
-                yield TraceEvent(g, a, k)
-            offset += len(chunk)
+        body = fh.read()
+    n, rem = divmod(len(body), size)
+    if rem:
+        raise MalformedRecord(path, offset + n * size, "truncated record")
+    kinds = body[size - 1::size]
+    if kinds.translate(None, bytes((READ, WRITE))):
+        i, k = next((i, k) for i, k in enumerate(kinds) if k not in (READ, WRITE))
+        raise MalformedRecord(path, offset + i * size, f"bad kind byte {k}")
+    yield from map(_new_event, _RECORD.iter_unpack(body))
 
 
 def _iter_text(fh, path, offset) -> Iterator[TraceEvent]:

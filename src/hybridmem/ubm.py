@@ -87,13 +87,23 @@ def avg_mlp_ratio(entry: PageStats) -> tuple[float, float]:
     return r_read, r_write
 
 
-def stall_time_reduction(entry: PageStats, dram: DevTiming, nvm: DevTiming) -> float:
-    """Estimated stall cycles saved per quantum if this page moved to DRAM."""
+def latency_gaps(dram: DevTiming, nvm: DevTiming) -> tuple[int, int]:
+    """NVM minus DRAM row-miss latency, for reads and for writes."""
+    return (read_miss_latency(nvm) - read_miss_latency(dram),
+            write_miss_latency(nvm) - write_miss_latency(dram))
+
+
+def gap_stall_reduction(entry: PageStats, gaps: tuple[int, int]) -> float:
+    """Stall cycles saved per quantum, given the `latency_gaps`."""
+    d_read, d_write = gaps
     r_read, r_write = avg_mlp_ratio(entry)
-    d_read = read_miss_latency(nvm) - read_miss_latency(dram)
-    d_write = write_miss_latency(nvm) - write_miss_latency(dram)
     return (entry.read_misses * d_read * r_read
             + WRITE_CRITICALITY_P * entry.write_misses * d_write * r_write)
+
+
+def stall_time_reduction(entry: PageStats, dram: DevTiming, nvm: DevTiming) -> float:
+    """Estimated stall cycles saved per quantum if this page moved to DRAM."""
+    return gap_stall_reduction(entry, latency_gaps(dram, nvm))
 
 
 def estimate_speedup(t_stall: int, t_interference: int, t_delay: int,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from hybridmem.controller import (
@@ -228,6 +230,23 @@ def test_lost_arbitration_slot_counted():
     assert b.interference_delay == 1
 
 
+def test_next_cycle_flag_needs_a_ready_request_on_another_bank():
+    c = make_controller()
+    assert c.try_issue(0) is None and not c.more_ready
+    a, b = req(1, 0), req(2, 1)        # banks 0 and 1
+    c.enqueue(a, 0)
+    c.enqueue(b, 0)
+    assert c.try_issue(0) is a
+    assert c.more_ready                # b's bank was ready too
+    assert c.try_issue(1) is b
+    assert not c.more_ready            # b was the only ready request
+    d, e = req(3, 2), req(4, 10)       # both on bank 2
+    c.enqueue(d, 2)
+    c.enqueue(e, 2)
+    assert c.try_issue(2) is d
+    assert not c.more_ready            # e waits for d's bank to free
+
+
 def test_deterministic_schedule():
     def run_once():
         c = make_controller()
@@ -253,3 +272,20 @@ def test_config_validation():
         ControllerConfig(read_queue_capacity=0)
     with pytest.raises(ValueError):
         ControllerConfig(migration_reserve_reads=64)
+
+
+def test_zero_cycle_service_latency_is_rejected():
+    # A bank must stay busy past its issue cycle: the simulator's service
+    # phase relies on every bank freeing at a later completion event.
+    fast = replace(NVM_BASELINE, name="fast", t_cl_ns=0.5)
+    with pytest.raises(ValueError, match="fast: a service latency rounds to 0"):
+        ChannelController(NVM_CHANNEL, fast, GEO, ControllerConfig(),
+                          EnergyMeter(fast, GEO))
+
+
+def test_write_buffer_too_small_to_start_a_drain_is_rejected():
+    # 8 - 2 reserved slots = 6 demand slots, and a drain starts above 6.
+    with pytest.raises(ValueError, match="write buffer of 8 with 2 slots reserved"):
+        ControllerConfig(write_buffer_capacity=8)
+    ControllerConfig(write_buffer_capacity=9)
+    ControllerConfig(write_buffer_capacity=8, migration_reserve_writes=1)

@@ -131,6 +131,19 @@ def test_bad_config_fails_with_clear_message(tmp_path, capsys, text, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_write_buffer_without_room_for_a_drain_fails_with_clear_message(tmp_path, capsys):
+    with pytest.raises(ValueError, match="no drain could start"):
+        ExperimentConfig(write_buffer=8).sim_config()
+    # The CLI has no write-buffer flag; the value comes from a config file.
+    ini = tmp_path / "small.ini"
+    ini.write_text("[experiment]\n"
+                   f"traces = {_write_traces(tmp_path, n=1)[0]}\n"
+                   "write_buffer = 8\n")
+    assert cli.main(["run", "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no drain could start" in err
+
+
 # -- CLI -------------------------------------------------------------------------
 
 def test_cli_tracegen_run_report(tmp_path, capsys):
