@@ -2,6 +2,8 @@
 
 import hashlib
 
+import pytest
+
 from hybridmem import runner
 from hybridmem.controller import ControllerConfig
 from hybridmem.device import READ
@@ -13,7 +15,7 @@ from hybridmem.trace import (
 
 
 def _gated_write_spec(seed: int) -> SynthSpec:
-    """One write-heavy app whose cores gate on the full NVM write buffer."""
+    """One write-heavy app whose core gates on the full NVM write buffer."""
     return SynthSpec(name="stream", target_mpki=30.0, read_fraction=0.3, seed=seed,
                      classes=(PageClass(3072, row_hit_prob=0.7),
                               PageClass(32, weight=3.0, row_hit_prob=0.5)))
@@ -43,6 +45,14 @@ def test_gated_core_never_dispatches_in_the_past():
         sim = _TimeWatch(config, [generate(_gated_write_spec(seed), 1000)]).run()
         assert sim.finished
         assert sim.past_events == [], f"seed {seed}: {sim.past_events[:3]}"
+
+
+def test_event_before_the_current_cycle_is_rejected():
+    sim = Simulation(_gated_write_config().sim_config(),
+                     [generate(_gated_write_spec(1), 100)])
+    sim.cycle = 10
+    with pytest.raises(RuntimeError, match=r"priority 1\) scheduled at cycle 9,"):
+        sim._push(9, 1, None)
 
 
 # -- golden reports --------------------------------------------------------------
