@@ -18,9 +18,8 @@ from .policies import POLICY_NAMES, PolicyDecision, make_policy
 from .runner import ExperimentConfig, SweepSpec, alone_ipc, run, sweep
 from .simulator import SimConfig, Simulation
 from .trace import (
-    InvalidSpec, MalformedRecord, PageClass, SynthSpec, Trace, TraceEvent,
-    TraceHeader, UnsupportedVersion, generate, load_trace, save_trace,
-    three_page_spec,
+    InvalidSpec, MalformedRecord, PageClass, SynthSpec, Trace, TraceError,
+    TraceEvent, TraceHeader, UnsupportedVersion, generate, three_page_spec,
 )
 from .ubm import (
     HotPageCounters, PageStats, StatStore, ThresholdController, avg_mlp_ratio,

@@ -12,7 +12,9 @@ from pathlib import Path
 from . import runner
 from .metrics import SimReport, normalize_reports
 from .policies import POLICY_NAMES
-from .trace import InvalidSpec, PageClass, SynthSpec, generate, three_page_spec
+from .trace import (
+    InvalidSpec, PageClass, SynthSpec, TraceError, generate, three_page_spec,
+)
 
 
 def _mib(text: str) -> int:
@@ -253,7 +255,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, InvalidSpec) as exc:
+    except (ValueError, OSError, TraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -37,13 +37,13 @@ class AppCore:
         self.sim = sim
         self.app_id = app_id
         self.name = trace.header.app
-        events = trace.events
-        if not events:
+        if not trace.kinds:
             raise ValueError(f"trace for app {app_id} has no events")
-        self.gaps = [e.inst_gap for e in events]
-        self.addrs = [e.address for e in events]
-        self.kinds = [e.kind for e in events]
-        self.n_events = len(events)
+        # The trace's own columns, shared: the core only reads them.
+        self.gaps = trace.gaps
+        self.addrs = trace.addresses
+        self.kinds = trace.kinds
+        self.n_events = len(trace.kinds)
         self.idx = 0
 
         self.rob_capacity = rob_capacity

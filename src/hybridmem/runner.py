@@ -198,14 +198,17 @@ def alone_ipc(config: ExperimentConfig, trace: Trace,
               cache: dict | None = None) -> float:
     """IPC of one trace run in isolation under the same config and policy."""
     alone_cfg = replace(config, traces=())
+    if cache is None:
+        return _alone(alone_cfg, trace)
     key = (trace.digest(), config_hash(alone_cfg.resolved()), config.policy)
-    if cache is not None and key in cache:
-        return cache[key]
+    if key not in cache:
+        cache[key] = _alone(alone_cfg, trace)
+    return cache[key]
+
+
+def _alone(alone_cfg: ExperimentConfig, trace: Trace) -> float:
     sim = _simulate(alone_cfg, [trace])
-    ipc = _ipc(sim.cores[0], sim.measured_window(0))
-    if cache is not None:
-        cache[key] = ipc
-    return ipc
+    return _ipc(sim.cores[0], sim.measured_window(0))
 
 
 def sweep(config: ExperimentConfig, spec: SweepSpec, traces=None,

@@ -3,8 +3,16 @@
 A trace is a per-application stream of last-level-cache-miss events:
 (instructions since the previous event, byte address, read/write). Two
 on-disk formats share a small text header: `.hmt` packs records as binary
-little-endian (u32 gap, u64 address, u8 kind), `.hmtx` keeps one record per
-line for hand-written test traces.
+little-endian (u32 gap, u64 address, u8 kind; 13 bytes, unpadded), `.hmtx`
+keeps one record per line for hand-written test traces.
+
+In memory a `Trace` holds its records as three columns of equal length:
+`gaps` (an `array` of u32), `addresses` (an `array` of u64) and `kinds`
+(`bytes` of READ/WRITE), in native byte order. The `.hmt` loader fills them
+from the file body with strided slices (byte j of every 13-byte record at
+once), so no Python code runs per record, and the core indexes the columns
+directly. `Trace.events` is a read-only view of the records as
+`TraceEvent` tuples, built on access.
 
 The generator produces traces from a class-based spec with controllable
 memory intensity (MPKI), row-buffer locality (same-row run lengths), and
@@ -15,17 +23,27 @@ from __future__ import annotations
 
 import hashlib
 import random
-import struct
+import sys
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .device import READ, WRITE
 
 MAGIC_BINARY = "HMT1"
 MAGIC_TEXT = "HMTX1"
 HEADER_END = "%%"
-_RECORD = struct.Struct("<IQB")
+
+# Column typecodes by item size; the C type behind each letter varies by host.
+_GAP_TYPE = next(t for t in "IL" if array(t).itemsize == 4)
+_ADDR_TYPE = next(t for t in "LQ" if array(t).itemsize == 8)
+# Byte offset of each numeric column in a 13-byte `.hmt` record; the kind
+# byte comes last.
+_LAYOUT = ((0, _GAP_TYPE), (4, _ADDR_TYPE))
+_KIND_AT = 12
+_RECORD_BYTES = 13
+_KINDS = bytes((READ, WRITE))
 
 
 class TraceError(Exception):
@@ -50,10 +68,6 @@ class TraceEvent(NamedTuple):
     kind: int  # READ or WRITE
 
 
-# TraceEvent from a 3-tuple, in C; TraceEvent._make is a Python call.
-_new_event = partial(tuple.__new__, TraceEvent)
-
-
 @dataclass
 class TraceHeader:
     app: str
@@ -68,36 +82,134 @@ class TraceHeader:
             raise TraceError("instruction count must be > 0")
 
 
+def _field_max(typecode: str) -> int:
+    return (1 << 8 * array(typecode).itemsize) - 1
+
+
+def _column(typecode: str, values, name: str) -> array:
+    """`values` as an unsigned column; TraceError names a value that won't fit."""
+    if isinstance(values, array) and values.typecode == typecode:
+        return values
+    try:
+        return array(typecode, values)
+    except OverflowError:
+        top = _field_max(typecode)
+        bad = next(v for v in values if not 0 <= v <= top)
+        raise TraceError(f"{name} {bad} is outside [0, {top}]") from None
+
+
 @dataclass
 class Trace:
-    """A fully materialized trace (what the simulator consumes)."""
+    """A fully materialized trace (what the simulator consumes).
+
+    The columns may be given as any sequences of ints; `from_file` passes
+    ready arrays, which are kept without a copy.
+    """
 
     header: TraceHeader
-    events: list  # list[TraceEvent]
+    gaps: array
+    addresses: array
+    kinds: bytes
+
+    def __post_init__(self):
+        self.gaps = _column(_GAP_TYPE, self.gaps, "gap")
+        self.addresses = _column(_ADDR_TYPE, self.addresses, "address")
+        self.kinds = bytes(self.kinds)
+        bad = self.kinds.translate(None, _KINDS)
+        if bad:
+            raise TraceError(f"kind {bad[0]} is neither READ nor WRITE")
+        if not len(self.gaps) == len(self.addresses) == len(self.kinds):
+            raise TraceError("trace columns differ in length")
+
+    @property
+    def events(self) -> "TraceEvents":
+        return TraceEvents(self)
 
     @property
     def accesses(self) -> int:
-        return len(self.events)
+        return len(self.kinds)
 
     @property
     def mpki(self) -> float:
-        return 1000.0 * len(self.events) / self.header.instructions
+        return 1000.0 * len(self.kinds) / self.header.instructions
 
     @classmethod
     def from_file(cls, path) -> "Trace":
-        header, stream = load_trace(path)
-        return cls(header, list(stream))
+        """Load a `.hmt` or `.hmtx` trace; its magic line picks the format.
+
+        Raises MalformedRecord with the byte offset of the first bad record
+        and UnsupportedVersion for unknown magics.
+        """
+        with open(path, "rb") as fh:
+            header, offset = _read_header(fh, path)
+            if header.version == MAGIC_BINARY:
+                columns = _binary_columns(fh.read(), path, offset)
+            else:
+                columns = _text_columns(fh, path, offset)
+        return cls(header, *columns)
 
     def save(self, path):
-        save_trace(path, self.header, self.events)
+        """Write the trace; the extension picks the format (.hmt or .hmtx)."""
+        binary = not str(path).endswith(".hmtx")
+        with open(path, "wb") as fh:
+            fh.write(_format_header(MAGIC_BINARY if binary else MAGIC_TEXT,
+                                    self.header))
+            if binary:
+                fh.write(self._body())
+            else:
+                for g, a, k in zip(self.gaps, self.addresses, self.kinds):
+                    fh.write(f"{g} {a:#x} {'R' if k == READ else 'W'}\n".encode("ascii"))
 
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(f"{self.header.app}|{self.header.instructions}|"
                  f"{self.header.address_space}".encode())
-        pack = _RECORD.pack
-        h.update(b"".join(pack(g, a, k) for g, a, k in self.events))
+        h.update(self._body())
         return h.hexdigest()[:16]
+
+    def _body(self) -> bytearray:
+        """The `.hmt` body: columns interleaved into little-endian records."""
+        size = _RECORD_BYTES
+        body = bytearray(len(self.kinds) * size)
+        body[_KIND_AT::size] = self.kinds
+        for (start, _), col in zip(_LAYOUT, (self.gaps, self.addresses)):
+            if sys.byteorder == "big":
+                col = array(col.typecode, col)
+                col.byteswap()
+            raw, width = col.tobytes(), col.itemsize
+            for j in range(width):
+                body[start + j::size] = raw[j::width]
+        return body
+
+
+class TraceEvents(Sequence):
+    """Read-only view of a trace's records as TraceEvent tuples."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: Trace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.kinds)
+
+    def __getitem__(self, i):
+        t = self._trace
+        if isinstance(i, slice):
+            return list(map(TraceEvent, t.gaps[i], t.addresses[i], t.kinds[i]))
+        return TraceEvent(t.gaps[i], t.addresses[i], t.kinds[i])
+
+    def __iter__(self):
+        t = self._trace
+        return map(TraceEvent, t.gaps, t.addresses, t.kinds)
+
+    def __eq__(self, other):
+        if isinstance(other, TraceEvents):
+            a, b = self._trace, other._trace
+            return (a.gaps, a.addresses, a.kinds) == (b.gaps, b.addresses, b.kinds)
+        if isinstance(other, Sequence):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 def _format_header(magic: str, header: TraceHeader) -> bytes:
@@ -109,20 +221,6 @@ def _format_header(magic: str, header: TraceHeader) -> bytes:
         HEADER_END,
     ]
     return ("\n".join(lines) + "\n").encode("ascii")
-
-
-def save_trace(path, header: TraceHeader, events):
-    """Write a trace; the extension picks the format (.hmt or .hmtx)."""
-    binary = not str(path).endswith(".hmtx")
-    magic = MAGIC_BINARY if binary else MAGIC_TEXT
-    with open(path, "wb") as fh:
-        fh.write(_format_header(magic, header))
-        if binary:
-            pack = _RECORD.pack
-            fh.write(b"".join(pack(g, a, k) for g, a, k in events))
-        else:
-            for g, a, k in events:
-                fh.write(f"{g} {a:#x} {'R' if k == READ else 'W'}\n".encode("ascii"))
 
 
 def _read_header(fh, path) -> tuple[TraceHeader, int]:
@@ -145,71 +243,80 @@ def _read_header(fh, path) -> tuple[TraceHeader, int]:
             break
         key, _, value = text.partition("=")
         fields[key.strip()] = value.strip()
+
+    def integer(key):
+        try:
+            return int(fields[key])
+        except ValueError:
+            raise TraceError(f"{path}: header {key}={fields[key]!r} "
+                             f"is not an integer") from None
+
     try:
         header = TraceHeader(
             app=fields["app"],
-            instructions=int(fields["instructions"]),
-            address_space=int(fields["address_space"]),
+            instructions=integer("instructions"),
+            address_space=integer("address_space"),
             version=magic,
         )
     except KeyError as e:
         raise TraceError(f"{path}: header missing {e}") from None
-    header.validate()
+    try:
+        header.validate()
+    except TraceError as e:
+        raise TraceError(f"{path}: {e}") from None
     return header, offset
 
 
-def load_trace(path):
-    """Open a trace; returns (header, event iterator).
-
-    The iterator raises MalformedRecord with the byte offset of the first
-    bad record and UnsupportedVersion for unknown magics.
-    """
-    fh = open(path, "rb")
-    try:
-        header, body_offset = _read_header(fh, path)
-    except Exception:
-        fh.close()
-        raise
-    if header.version == MAGIC_BINARY:
-        stream = _iter_binary(fh, path, body_offset)
-    else:
-        stream = _iter_text(fh, path, body_offset)
-    return header, stream
-
-
-def _iter_binary(fh, path, offset) -> Iterator[TraceEvent]:
-    size = _RECORD.size
-    with fh:
-        body = fh.read()
+def _binary_columns(body: bytes, path, offset) -> tuple:
+    """Split a `.hmt` body into (gaps, addresses, kinds) columns."""
+    size = _RECORD_BYTES
     n, rem = divmod(len(body), size)
     if rem:
         raise MalformedRecord(path, offset + n * size, "truncated record")
-    kinds = body[size - 1::size]
-    if kinds.translate(None, bytes((READ, WRITE))):
-        i, k = next((i, k) for i, k in enumerate(kinds) if k not in (READ, WRITE))
+    kinds = body[_KIND_AT::size]
+    if kinds.translate(None, _KINDS):
+        i, k = next((i, k) for i, k in enumerate(kinds) if k not in _KINDS)
         raise MalformedRecord(path, offset + i * size, f"bad kind byte {k}")
-    yield from map(_new_event, _RECORD.iter_unpack(body))
+    columns = []
+    for start, typecode in _LAYOUT:
+        col = array(typecode)
+        width = col.itemsize
+        raw = bytearray(n * width)
+        for j in range(width):
+            raw[j::width] = body[start + j::size]
+        col.frombytes(raw)
+        if sys.byteorder == "big":
+            col.byteswap()
+        columns.append(col)
+    return (*columns, kinds)
 
 
-def _iter_text(fh, path, offset) -> Iterator[TraceEvent]:
-    kinds = {"R": READ, "W": WRITE}
-    with fh:
-        for raw in fh:
-            line = raw.decode("ascii", errors="replace").split("#", 1)[0].strip()
-            if line:
-                parts = line.split()
-                try:
-                    if len(parts) != 3:
-                        raise ValueError("expected 'gap address kind'")
-                    gap = int(parts[0])
-                    addr = int(parts[1], 0)
-                    kind = kinds[parts[2].upper()]
-                    if gap < 0 or addr < 0:
-                        raise ValueError("negative field")
-                except (ValueError, KeyError) as e:
-                    raise MalformedRecord(path, offset, str(e)) from None
-                yield TraceEvent(gap, addr, kind)
-            offset += len(raw)
+def _text_columns(fh, path, offset) -> tuple:
+    """Parse `.hmtx` lines into (gaps, addresses, kinds) columns."""
+    codes = {"R": READ, "W": WRITE}
+    gap_max, addr_max = _field_max(_GAP_TYPE), _field_max(_ADDR_TYPE)
+    gaps, addrs, kinds = [], [], bytearray()
+    for raw in fh:
+        line = raw.decode("ascii", errors="replace").split("#", 1)[0].strip()
+        if line:
+            parts = line.split()
+            try:
+                if len(parts) != 3:
+                    raise ValueError("expected 'gap address kind'")
+                gap = int(parts[0])
+                addr = int(parts[1], 0)
+                kind = codes[parts[2].upper()]
+                if not 0 <= gap <= gap_max:
+                    raise ValueError(f"gap {gap} is outside [0, {gap_max}]")
+                if not 0 <= addr <= addr_max:
+                    raise ValueError(f"address {addr:#x} is outside [0, {addr_max:#x}]")
+            except (ValueError, KeyError) as e:
+                raise MalformedRecord(path, offset, str(e)) from None
+            gaps.append(gap)
+            addrs.append(addr)
+            kinds.append(kind)
+        offset += len(raw)
+    return gaps, addrs, kinds
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +441,7 @@ def generate(spec: SynthSpec, accesses: int) -> Trace:
     if per_access < 0:
         per_access = 0.0
 
-    events = []
+    gaps, addrs, kinds = [], [], bytearray()
     owed = 0.0
     emitted = 0
     rr = 0
@@ -359,18 +466,18 @@ def generate(spec: SynthSpec, accesses: int) -> Trace:
             rf = spec.read_fraction
         for i, page in enumerate(group):
             st.offset = (st.offset + 1) % blocks_per_page
-            addr = page * spec.page_bytes + st.offset * spec.block_bytes
-            kind = READ if rng.random() < rf else WRITE
-            events.append(TraceEvent(gap if i == 0 else 0, addr, kind))
+            gaps.append(gap if i == 0 else 0)
+            addrs.append(page * spec.page_bytes + st.offset * spec.block_bytes)
+            kinds.append(READ if rng.random() < rf else WRITE)
         emitted += len(group)
 
-    total_insts = sum(e.inst_gap for e in events) + len(events)
+    total_insts = sum(gaps) + len(gaps)
     header = TraceHeader(
         app=spec.name,
         instructions=total_insts,
         address_space=next_page * spec.page_bytes,
     )
-    return Trace(header, events)
+    return Trace(header, gaps, addrs, kinds)
 
 
 def three_page_spec(

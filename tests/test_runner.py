@@ -144,6 +144,14 @@ def test_write_buffer_without_room_for_a_drain_fails_with_clear_message(tmp_path
     assert err.startswith("error: ") and "no drain could start" in err
 
 
+def test_bad_trace_header_fails_with_path_and_key(tmp_path, capsys):
+    trace = tmp_path / "bad.hmt"
+    trace.write_bytes(b"HMT1\napp=x\ninstructions=ten\naddress_space=8192\n%%\n")
+    assert cli.main(["run", "--trace", str(trace), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {trace}: ") and "instructions='ten'" in err
+
+
 # -- CLI -------------------------------------------------------------------------
 
 def test_cli_tracegen_run_report(tmp_path, capsys):

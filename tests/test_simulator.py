@@ -10,7 +10,7 @@ from hybridmem.device import READ
 from hybridmem.runner import ExperimentConfig
 from hybridmem.simulator import SimConfig, Simulation
 from hybridmem.trace import (
-    PageClass, SynthSpec, Trace, TraceEvent, TraceHeader, generate,
+    PageClass, SynthSpec, Trace, TraceHeader, generate,
 )
 
 
@@ -88,7 +88,7 @@ def test_job_blocked_on_full_write_buffer_is_repumped_and_finishes():
     # One idle app, so the only traffic is a single promotion. Its block
     # writes overflow a 4-slot DRAM write buffer; writes issue outside drain
     # mode, so every completed write frees a slot for the stalled job.
-    idle = Trace(TraceHeader("idle", 10**9, 8192), [TraceEvent(10**9 - 1, 0, READ)])
+    idle = Trace(TraceHeader("idle", 10**9, 8192), [10**9 - 1], [0], [READ])
     controller = ControllerConfig(write_buffer_capacity=4, migration_reserve_writes=0,
                                   opportunistic_writes=True)
     config = SimConfig(controller=controller, measured_instructions=10**9,
