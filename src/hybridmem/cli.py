@@ -182,7 +182,13 @@ def cmd_tracegen(args) -> int:
 
 
 def cmd_report(args) -> int:
-    reports = [SimReport.from_json(Path(p).read_text()) for p in args.reports]
+    reports = []
+    for path in args.reports:
+        text = Path(path).read_text()
+        try:
+            reports.append(SimReport.from_json(text))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     out = io.StringIO()
     w = csv.writer(out)
     w.writerow(["policy", "config_hash", "weighted_speedup", "harmonic_speedup",

@@ -126,6 +126,13 @@ class ChannelController:
         # Set by try_issue: a request on a bank other than the last winner's
         # was ready, so the next cycle may issue too.
         self.more_ready = False
+        # Whether try_issue can find an eligible request on a free bank. Set
+        # by every change that can make one: an eligible request enqueued on
+        # a free bank, a completion freeing a bank with eligible requests
+        # waiting, a drain starting. The caller clears it when try_issue
+        # finds nothing more (not more_ready).
+        self.may_issue = False
+        self._opportunistic = config.opportunistic_writes
         self._high = config.drain_high_watermark * config.write_buffer_capacity
         self._low = config.drain_low_watermark * config.write_buffer_capacity
         # Cumulative statistics (quantum deltas are taken by the simulator).
@@ -157,6 +164,7 @@ class ChannelController:
             self.read_occupancy += 1
             self.read_waiting += 1
             self.read_wait[req.bank_id].append(req)
+            eligible = True
         else:
             if not self.has_write_space(req.is_demand):
                 return False
@@ -165,10 +173,14 @@ class ChannelController:
             self.write_wait[req.bank_id].append(req)
             if not self.draining and self.write_occupancy > self._high:
                 self.draining = True
+                self.may_issue = True   # the waiting writes now compete
+            eligible = self.draining or self._opportunistic
+        bank = self.banks[req.bank_id]
+        if eligible and bank.busy_until <= cycle:
+            self.may_issue = True
         req.arrival_cycle = cycle
         if req.app_id == SYSTEM_APP:
             return True   # _service attributes no interference to migrations
-        bank = self.banks[req.bank_id]
         req.snap_busy_total = bank.busy_total_at(cycle)
         req.snap_busy_app = bank.busy_app_at(cycle, req.app_id)
         req.snap_busy_sys = bank.busy_app_at(cycle, SYSTEM_APP)
@@ -187,6 +199,11 @@ class ChannelController:
             self.write_occupancy -= 1
             if self.draining and self.write_occupancy <= self._low:
                 self.draining = False
+        # The request's bank frees now (its busy span ends at completion).
+        b = req.bank_id
+        if self.read_wait[b] or (self.write_wait[b]
+                                 and (self.draining or self._opportunistic)):
+            self.may_issue = True
 
     # -- scheduling -----------------------------------------------------------
 
@@ -218,7 +235,7 @@ class ChannelController:
         if self.read_waiting == 0 and self.write_waiting == 0:
             return None
         reads = self._candidates(self.read_wait, cycle) if self.read_waiting else []
-        writes_compete = self.draining or self.config.opportunistic_writes
+        writes_compete = self.draining or self._opportunistic
         writes = (self._candidates(self.write_wait, cycle)
                   if writes_compete and self.write_waiting else [])
         if self.draining:
@@ -227,12 +244,15 @@ class ChannelController:
             pool = reads or writes
         if not pool:
             return None
-        open_rows = self.banks
-        winner = min(
-            pool,
-            key=lambda r: (open_rows[r.bank_id].open_row != r.row_id,
-                           r.arrival_cycle, r.id),
-        )
+        if len(pool) == 1:
+            winner = pool[0]
+        else:
+            open_rows = self.banks
+            winner = min(
+                pool,
+                key=lambda r: (open_rows[r.bank_id].open_row != r.row_id,
+                               r.arrival_cycle, r.id),
+            )
         # Requests that were bank-ready and eligible this cycle but lost the
         # command slot to a different application accrue one blocked cycle.
         w_app = winner.app_id

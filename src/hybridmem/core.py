@@ -150,48 +150,71 @@ class AppCore:
     # -- main advance ---------------------------------------------------------
 
     def advance(self, now: int):
+        """Move the core through closed-form segments up to cycle `now`.
+
+        Each segment runs until the next point where the trajectory bends:
+        the head reaching its stop, the tail reaching the next memory op,
+        or a full window starting to drain. Every segment lasts at least one
+        cycle, because each bound lies strictly ahead of its pointer.
+        """
         if now <= self.cycle:
             return
         w = self.RETIRE_WIDTH
+        wr = self.window_reads
         while self.cycle < now:
-            self._try_dispatch()
-            head_stop = self._head_stop()
-            if self.head_pin is None and head_stop == self.head \
-                    and self.window_reads and self.window_reads[0][0] == self.head \
-                    and not self.window_reads[0][1].done:
-                self.head_pin = self.window_reads[0][1]
+            if self.tail == self.next_mem_pos:   # a blocked tail sits here too
+                self._try_dispatch()
+            cycle, head, tail = self.cycle, self.head, self.tail
+            # Head stop: the oldest incomplete read, else a blocked tail.
+            while wr and wr[0][0] < head:   # retired reads fall off the front
+                wr.popleft()
+            stop = None
+            for pos, req in wr:
+                if not req.done:
+                    stop = pos
+                    if pos == head and self.head_pin is None:
+                        self.head_pin = req
+                    break
+            tail_block = self.tail_block
+            if tail_block is not None and (stop is None or tail < stop):
+                stop = tail
             head_free = self.head_pin is None
             self._refresh_stall()
 
             t_next = now
-            if head_free and head_stop is not None and head_stop > self.head:
-                t_next = min(t_next, self.cycle + _ceil_div(head_stop - self.head, w))
-            if self.tail_block is None and self.next_mem_pos > self.tail:
-                t_next = min(t_next, self.cycle + _ceil_div(self.next_mem_pos - self.tail, w))
-            elif self.tail_block == "rob" and head_free:
+            if head_free and stop is not None and stop > head:
+                t = cycle - (head - stop) // w
+                if t < t_next:
+                    t_next = t
+            if tail_block is None:
+                # The tail is free only short of the next memory op.
+                t = cycle - (tail - self.next_mem_pos) // w
+                if t < t_next:
+                    t_next = t
+            elif tail_block == "rob" and head_free:
                 # Retirement frees window slots; dispatch resumes mid-run.
-                need = self.tail - self.rob_capacity + 1
-                if need > self.head:
-                    t_next = min(t_next, self.cycle + _ceil_div(need - self.head, w))
+                need = tail - self.rob_capacity + 1
+                if need > head:
+                    t = cycle - (head - need) // w
+                    if t < t_next:
+                        t_next = t
 
-            dt = t_next - self.cycle
-            if dt <= 0:
-                # Fully blocked until an external event: idle through to now.
-                self.cycle = now
-                break
-            new_tail = self.tail
-            if self.tail_block is None:
-                new_tail = min(self.tail + w * dt, self.next_mem_pos)
-            new_head = self.head
+            dt = t_next - cycle
+            if tail_block is None:
+                tail += w * dt
+                if tail > self.next_mem_pos:
+                    tail = self.next_mem_pos
+                self.tail = tail
             if head_free:
-                new_head = self.head + w * dt
-                if head_stop is not None:
-                    new_head = min(new_head, head_stop)
-                new_head = min(new_head, new_tail)
-            if new_head > self.head:
-                self._record_markers(self.head, new_head, self.cycle)
-            self.head = new_head
-            self.tail = new_tail
+                new_head = head + w * dt
+                if stop is not None and stop < new_head:
+                    new_head = stop
+                if tail < new_head:
+                    new_head = tail
+                if new_head > head:
+                    if self.done_cycle is None:
+                        self._record_markers(head, new_head, cycle)
+                    self.head = new_head
             self.cycle = t_next
         self.settle_open_spans()
 
@@ -203,42 +226,50 @@ class AppCore:
 
     def on_read_complete(self, req, now: int):
         # Settle up to `now` with the read still outstanding, then release it.
-        self.advance(now)
+        if now > self.cycle:
+            self.advance(now)
         req.done = True
         self.outstanding_reads -= 1
         if self.head_pin is req:
             self.head_pin = None
-        self.run_to(now)
+        if self.tail == self.next_mem_pos:
+            self._try_dispatch()
+        self._refresh_stall()
+        self.schedule_next()
 
     def run_to(self, now: int):
         """Advance to `now`, perform due dispatches, plan the next wake."""
-        self.advance(now)
-        self._try_dispatch()
+        if now > self.cycle:
+            self.advance(now)
+        if self.tail == self.next_mem_pos:
+            self._try_dispatch()
         self._refresh_stall()
         self.schedule_next()
 
     def schedule_next(self):
+        w = self.RETIRE_WIDTH
+        cycle, head = self.cycle, self.head
         if self.tail_block is None:
-            if self.next_mem_pos > self.tail:
-                t = self.cycle + _ceil_div(self.next_mem_pos - self.tail,
-                                           self.RETIRE_WIDTH)
-                self.sim.schedule_core(self, t)
-            else:
-                self.sim.schedule_core(self, self.cycle)
-        elif self.tail_block == "rob" and self.head_pin is None:
-            need = self.tail - self.rob_capacity + 1
+            # After a dispatch attempt a free tail is short of the next op.
+            self.sim.schedule_core(self, cycle - (self.tail - self.next_mem_pos) // w)
+        if self.head_pin is not None:
+            return
+        # Free head runs that need a proactive wake unless a head stop cuts
+        # them short: a full window draining until dispatch resumes, and a
+        # run toward an uncrossed marker (a blocked core is woken by
+        # completions and injections).
+        rob_need = (self.tail - self.rob_capacity + 1
+                    if self.tail_block == "rob" else head)
+        marker = head
+        if self.done_cycle is None:
+            marker = self.warm_pos if self.warm_cycle is None else self.done_pos
+            if marker > self.tail:
+                marker = head
+        if rob_need > head or marker > head:
             stop = self._head_stop()
-            if need > self.head and (stop is None or stop >= need):
-                t = self.cycle + _ceil_div(need - self.head, self.RETIRE_WIDTH)
-                self.sim.schedule_core(self, t)
-        # A blocked core is woken by completions/injections, but a free run
-        # toward an uncrossed marker needs a proactive wake.
-        if self.done_cycle is None and self.head_pin is None:
-            nxt = self.warm_pos if self.warm_cycle is None else self.done_pos
-            stop = self._head_stop()
-            if self.head < nxt <= self.tail and (stop is None or stop >= nxt):
-                t = self.cycle + _ceil_div(nxt - self.head, self.RETIRE_WIDTH)
-                self.sim.schedule_core(self, t)
+            for target in (rob_need, marker):
+                if target > head and (stop is None or stop >= target):
+                    self.sim.schedule_core(self, cycle - (head - target) // w)
 
     def ipc(self) -> float | None:
         if self.warm_cycle is None or self.done_cycle is None:

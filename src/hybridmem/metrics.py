@@ -11,7 +11,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 
 
 class MissingAloneRun(ValueError):
@@ -130,9 +130,14 @@ class SimReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimReport":
-        data = dict(data)
-        data["apps"] = [AppResult(**a) for a in data["apps"]]
-        data["energy"] = EnergyReport(**data["energy"])
+        """Rebuild a report; ValueError names what does not fit the schema."""
+        data = _fields_of(cls, data, "report")
+        if not isinstance(data["apps"], list):
+            raise ValueError("report 'apps' is not a list")
+        data["apps"] = [AppResult(**_fields_of(AppResult, a, f"report app {i}"))
+                        for i, a in enumerate(data["apps"])]
+        data["energy"] = EnergyReport(**_fields_of(EnergyReport, data["energy"],
+                                                   "report 'energy'"))
         return cls(**data)
 
     @classmethod
@@ -170,6 +175,24 @@ class SimReport:
         ]:
             writer.writerow(["metric", name, self.policy, "" if value is None else value])
         return out.getvalue()
+
+
+def _fields_of(cls, data, what: str) -> dict:
+    """`data` as keyword arguments of dataclass `cls`, checked by name."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    declared = fields(cls)
+    missing = [f.name for f in declared
+               if f.default is MISSING and f.name not in data]
+    unexpected = sorted(data.keys() - {f.name for f in declared})
+    problems = []
+    if missing:
+        problems.append(f"missing keys {', '.join(missing)}")
+    if unexpected:
+        problems.append(f"unexpected keys {', '.join(unexpected)}")
+    if problems:
+        raise ValueError(f"{what}: {'; '.join(problems)}")
+    return dict(data)
 
 
 def normalize_reports(reports, baseline_policy: str = "all"):

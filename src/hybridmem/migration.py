@@ -202,6 +202,15 @@ class MigrationEngine:
 
     # -- traffic pumping ------------------------------------------------------
 
+    def can_progress(self) -> bool:
+        """Whether pump could move anything once a queue slot frees."""
+        if self.pending and len(self.jobs) < self.max_jobs:
+            return True
+        for job in self.jobs:
+            if job.blocked:
+                return True
+        return False
+
     def pump(self, cycle: int):
         """Re-pump the jobs stopped on a full queue, after a slot freed."""
         for job in self.jobs:

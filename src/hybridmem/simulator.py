@@ -11,12 +11,21 @@ at events.
 
 No event is ever scheduled before the current cycle (`_push` raises), so
 simulated time only moves forward. The service phase relies on that: it
-runs only in cycles where its work can change something. Every enqueue
-and every completion requests a phase in its own cycle. A bank frees
-exactly at its request's completion, so the only other phase needed is
-the one at `cycle + 1` after an issue that left a ready request on another
-bank. Migration jobs are re-pumped only after a queue slot freed, because
-every other change to a job pumps it on the spot.
+runs only in cycles where its work can change something, and asks only
+the controllers that can issue. A controller can issue only while it holds
+an eligible request (a read; a write in a drain or with opportunistic
+writes) on a free bank. Only three things create one: an enqueue on a
+free bank, a completion, which frees its bank (a bank frees exactly at
+its request's completion), and a write that starts a drain; ending a
+drain only narrows eligibility. Each of them sets the controller's
+`may_issue` flag. The phase clears it unless `try_issue` left a ready
+request on another bank (`more_ready`), in which case it requests the
+phase at `cycle + 1`. An enqueue requests a phase in its own cycle when a
+controller may issue. A completion requests one when a controller may
+issue, a request is parked (the freed slot may admit it), or the
+migration engine has a job stopped on a full queue or a promotion it
+could start. Migration jobs are re-pumped only after a queue slot freed,
+because every other change to a job pumps it on the spot.
 """
 
 from __future__ import annotations
@@ -102,14 +111,13 @@ class Simulation:
 
         self.dram_energy = EnergyMeter(config.dram_timing, config.dram_geometry)
         self.nvm_energy = EnergyMeter(config.nvm_timing, config.nvm_geometry)
-        self.controllers = [
-            ChannelController(DRAM_CHANNEL, config.dram_timing,
-                              config.dram_geometry, config.controller,
-                              self.dram_energy),
-            ChannelController(NVM_CHANNEL, config.nvm_timing,
-                              config.nvm_geometry, config.controller,
-                              self.nvm_energy),
-        ]
+        self._dram = ChannelController(DRAM_CHANNEL, config.dram_timing,
+                                       config.dram_geometry, config.controller,
+                                       self.dram_energy)
+        self._nvm = ChannelController(NVM_CHANNEL, config.nvm_timing,
+                                      config.nvm_geometry, config.controller,
+                                      self.nvm_energy)
+        self.controllers = [self._dram, self._nvm]
         self.tag = TagStore(config.dram_geometry.pages, config.tag_associativity)
         self.engine = MigrationEngine(
             self, self.tag, self.blocks_per_page,
@@ -246,7 +254,10 @@ class Simulation:
         elif channel == DRAM_CHANNEL and req.is_demand \
                 and self.tag.resident(req.page_id):
             self.tag.touch(req.page_id)
-        self._ensure_phase(cycle)
+        # Either controller, not only this one: a flag raised after this
+        # cycle's phase ran (zero-cycle lookup or buffer service) still waits.
+        if self._dram.may_issue or self._nvm.may_issue:
+            self._ensure_phase(cycle)
         return True
 
     def _arrive(self, req: MemRequest, cycle: int):
@@ -263,7 +274,8 @@ class Simulation:
             while pend and self._inject(pend[0], cycle):
                 # Settle to `cycle` with the gate still closed, or the core
                 # would resume dispatching from its stale cycle.
-                core.advance(cycle)
+                if cycle > core.cycle:
+                    core.advance(cycle)
                 pend.popleft()
                 self._parked -= 1
                 progressed = True
@@ -286,7 +298,8 @@ class Simulation:
         req.bank_id = page % ctrl.geometry.banks
         req.dispatch_cycle = cycle
         ctrl.enqueue(req, cycle)
-        self._ensure_phase(cycle)
+        if self._dram.may_issue or self._nvm.may_issue:
+            self._ensure_phase(cycle)
         return req
 
     def _complete(self, req: MemRequest, cycle: int):
@@ -299,25 +312,25 @@ class Simulation:
                 self.engine.finish_block_read(job, req.mig_block, cycle)
             else:
                 self.engine.finish_block_write(job, req.mig_block, cycle)
-            self._ensure_phase(cycle)
-            return
-        app = req.app_id
-        core = self.cores[app]
-        if req.kind == READ:
-            self.n_read_out[app] -= 1
-            core.on_read_complete(req, cycle)
         else:
-            req.done = True
-            self.n_write_out[app] -= 1
-        if self.n_read_out[app] + self.n_write_out[app] == 0:
-            self._settle_delay(app, cycle)
-            self._delay_anchor[app] = None
-        self.t_interference[app] += req.interference_delay
-        self.t_outstanding[app] += cycle - req.dispatch_cycle
-        if req.channel == NVM_CHANNEL:
-            self.hot.on_complete(req.page_id, app, req.kind == WRITE, self.store)
-            self._maybe_migrate(req.page_id, cycle)
-        self._ensure_phase(cycle)
+            app = req.app_id
+            if req.kind == READ:
+                self.n_read_out[app] -= 1
+                self.cores[app].on_read_complete(req, cycle)
+            else:
+                req.done = True
+                self.n_write_out[app] -= 1
+            if self.n_read_out[app] + self.n_write_out[app] == 0:
+                self._settle_delay(app, cycle)
+                self._delay_anchor[app] = None
+            self.t_interference[app] += req.interference_delay
+            self.t_outstanding[app] += cycle - req.dispatch_cycle
+            if req.channel == NVM_CHANNEL:
+                self.hot.on_complete(req.page_id, app, req.kind == WRITE, self.store)
+                self._maybe_migrate(req.page_id, cycle)
+        if self._dram.may_issue or self._nvm.may_issue or self._parked \
+                or self.engine.can_progress():
+            self._ensure_phase(cycle)
 
     def _maybe_migrate(self, page: int, cycle: int):
         if not self.config.migration_enabled:
@@ -424,7 +437,10 @@ class Simulation:
             self.engine.pump(cycle)
         again = False
         for ctrl in self.controllers:
+            if not ctrl.may_issue:
+                continue
             req = ctrl.try_issue(cycle)
+            ctrl.may_issue = ctrl.more_ready   # False whenever req is None
             if req is not None:
                 again = again or ctrl.more_ready
                 self.on_issue(req)
@@ -441,7 +457,8 @@ class Simulation:
             t = heap[0][0]
             if max_cycles is not None and t > max_cycles:
                 break
-            self._catch_up_samples(t)
+            if t > self._next_sample:
+                self._catch_up_samples(t)
             self.cycle = t
             while heap and heap[0][0] == t:
                 _, prio, _, payload = heapq.heappop(heap)

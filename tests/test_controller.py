@@ -247,6 +247,33 @@ def test_next_cycle_flag_needs_a_ready_request_on_another_bank():
     assert not c.more_ready            # e waits for d's bank to free
 
 
+def test_issue_flag_set_only_when_a_request_may_issue():
+    c = make_controller()
+    a, b = req(1, 0), req(2, 8)          # both on bank 0
+    c.enqueue(a, 0)
+    assert c.may_issue                   # bank 0 was free
+    assert c.try_issue(0) is a and not c.more_ready
+    c.may_issue = False                  # as the simulator does
+    c.enqueue(b, 1)
+    assert not c.may_issue               # bank 0 is busy with a
+    c.on_complete(a)                     # bank 0 frees with b waiting
+    assert c.may_issue
+    assert c.try_issue(a.completion_cycle) is b
+
+
+def test_write_starting_a_drain_sets_the_issue_flag():
+    c = make_controller()                # a drain starts above 24 writes
+    c.enqueue(req(1, 0), 0)
+    assert c.try_issue(0) is not None    # bank 0 is busy from here on
+    c.may_issue = False
+    for i in range(24):                  # banks 1-7, free but writes wait
+        assert c.enqueue(req(i + 2, 8 * i + 1 + i % 7, kind=WRITE), 1)
+    assert not c.may_issue and not c.draining
+    assert c.enqueue(req(30, 8, kind=WRITE), 1)   # onto busy bank 0
+    assert c.draining and c.may_issue
+    assert c.try_issue(1).kind == WRITE
+
+
 def test_deterministic_schedule():
     def run_once():
         c = make_controller()

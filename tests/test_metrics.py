@@ -90,6 +90,25 @@ def test_report_round_trip():
     assert back.apps[0].speedup == pytest.approx(0.8)
 
 
+def _damaged(change):
+    data = make_report().to_dict()
+    change(data)
+    return data
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"policy": "ubm"}, r"^report: missing keys config, config_hash, .*apps, energy$"),
+    ([1, 2], r"^report is not a JSON object$"),
+    (_damaged(lambda d: d.update(extra=1)), r"^report: unexpected keys extra$"),
+    (_damaged(lambda d: d["apps"][0].pop("cycles")), r"^report app 0: missing keys cycles$"),
+    (_damaged(lambda d: d.update(apps=3)), r"^report 'apps' is not a list$"),
+    (_damaged(lambda d: d["energy"].update(x=0)), r"^report 'energy': unexpected keys x$"),
+])
+def test_report_from_dict_names_what_does_not_fit(data, message):
+    with pytest.raises(ValueError, match=message):
+        SimReport.from_dict(data)
+
+
 def test_report_csv_contains_apps_and_metrics():
     rep = make_report()
     rep.compute_speedups()

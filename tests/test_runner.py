@@ -184,6 +184,19 @@ def test_cli_tracegen_run_report(tmp_path, capsys):
     assert any(line.startswith("all,1.0,1.0,1.0") for line in lines)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"policy": "ubm"}', "report: missing keys config, "),
+    ("[1, 2]", "report is not a JSON object"),
+    ("{", "Expecting property name"),
+])
+def test_cli_report_on_a_json_that_is_not_a_report(tmp_path, capsys, text, message):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert cli.main(["report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
+
+
 def test_quantum_log_from_config_file_is_written(tmp_path):
     traces = _write_traces(tmp_path, n=1)
     ini = tmp_path / "exp.ini"

@@ -1,12 +1,13 @@
 """Tests of the simulator's event loop and request path."""
 
 import hashlib
+import json
 
 import pytest
 
 from hybridmem import runner
 from hybridmem.controller import ControllerConfig
-from hybridmem.device import READ
+from hybridmem.device import READ, DeviceGeometry
 from hybridmem.runner import ExperimentConfig
 from hybridmem.simulator import SimConfig, Simulation
 from hybridmem.trace import (
@@ -80,6 +81,94 @@ def test_golden_read_only_ubm():
     report = runner.run(config, traces=traces)
     assert report.apps[0].ipc_shared > 0
     assert _digest(report) == "20a082909f476688"
+
+
+# Digests of the simulation state after twelve small runs that together
+# cover every policy, opportunistic writes on and off, write buffers of 9 to
+# 64 entries, 1 to 16 in-flight migration blocks, warmup, stat decay and a
+# run cut off by max_cycles.
+_SPREAD = {
+    "all": ({"policy": "all"}, "a27dc5b876636e8b"),
+    "freq": ({"policy": "freq"}, "38b9c7a82dd4feb7"),
+    "rbla-warmup": ({"policy": "rbla", "warmup_instructions": 5000}, "a72dc874186fa692"),
+    "ubm-st-decay": ({"policy": "ubm-st", "stat_decay": True}, "677329228fc707e4"),
+    "ubm": ({"policy": "ubm"}, "d23dfdd91e7e993b"),
+    "all-opportunistic-wb9": ({"policy": "all", "write_buffer_capacity": 9,
+                               "opportunistic_writes": True}, "c83678aff2b29756"),
+    "freq-inflight1": ({"policy": "freq", "migration_inflight_blocks": 1},
+                       "10347f3128f744a5"),
+    "ubm-wb64-inflight16": ({"policy": "ubm", "write_buffer_capacity": 64,
+                             "migration_inflight_blocks": 16}, "26dc2e214c2a351c"),
+    "rbla-opportunistic-inflight16": ({"policy": "rbla", "opportunistic_writes": True,
+                                       "migration_inflight_blocks": 16},
+                                      "72d52337c124a01b"),
+    "ubm-st-opportunistic-wb16": ({"policy": "ubm-st", "write_buffer_capacity": 16,
+                                   "opportunistic_writes": True,
+                                   "migration_inflight_blocks": 2}, "401eec9c0e0dca1b"),
+    "ubm-read-only-decay-warmup": ({"policy": "ubm", "read_fraction": 1.0,
+                                    "stat_decay": True, "warmup_instructions": 3000},
+                                   "a227c85af1613507"),
+    "all-cut-off": ({"policy": "all", "max_cycles": 6000}, "9fc6ff3f733b27d1"),
+}
+
+
+def _spread_mix(read_fraction: float):
+    return [generate(SynthSpec(name=f"app{i}", target_mpki=30.0 - 12 * i,
+                               read_fraction=read_fraction, seed=7 + i,
+                               first_page=400 * i,
+                               classes=(PageClass(pages=384, burst=1 + 3 * i,
+                                                  row_hit_prob=0.4),
+                                        PageClass(pages=24, weight=3.0,
+                                                  row_hit_prob=0.6))), 1500)
+            for i in range(2)]
+
+
+def _state_digest(sim: Simulation) -> str:
+    state = {
+        "cycle": sim.cycle,
+        "finished": sim.finished,
+        "windows": [sim.measured_window(i) for i in range(len(sim.cores))],
+        "stall": [core.t_stall for core in sim.cores],
+        "page_stall": sorted(sim.page_stall.items()),
+        "controllers": [ctrl.stats_snapshot() for ctrl in sim.controllers],
+        "engine": [sim.engine.pages_promoted, sim.engine.pages_evicted,
+                   sim.engine.dropped, sim.engine.traffic_bytes],
+        "energy": sim.total_energy_joules(),
+        "threshold": sim.threshold.threshold,
+    }
+    return hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", list(_SPREAD))
+def test_golden_config_spread(case):
+    fields, digest = _SPREAD[case]
+    fields = dict(fields)
+    read_fraction = fields.pop("read_fraction", 0.7)
+    controller = ControllerConfig(**{k: fields.pop(k) for k in
+                                     ("write_buffer_capacity", "opportunistic_writes")
+                                     if k in fields})
+    config = SimConfig(dram_geometry=DeviceGeometry(1 << 20),
+                       nvm_geometry=DeviceGeometry(16 << 20), controller=controller,
+                       quantum_cycles=5000, measured_instructions=20_000, **fields)
+    sim = Simulation(config, _spread_mix(read_fraction)).run()
+    assert sim.finished == (config.max_cycles is None)
+    assert _state_digest(sim) == digest
+
+
+def test_read_only_mix_asks_controllers_only_when_they_issue():
+    config = SimConfig(dram_geometry=DeviceGeometry(1 << 20),
+                       nvm_geometry=DeviceGeometry(16 << 20), migration_enabled=False,
+                       quantum_cycles=5000, measured_instructions=20_000)
+    sim = Simulation(config, _spread_mix(read_fraction=1.0))
+    results = []
+    for ctrl in sim.controllers:
+        def counted(cycle, try_issue=ctrl.try_issue):
+            results.append(try_issue(cycle))
+            return results[-1]
+        ctrl.try_issue = counted
+    sim.run()
+    assert sim.finished and len(results) > 500
+    assert all(r is not None for r in results)
 
 
 # -- migration liveness ------------------------------------------------------------
