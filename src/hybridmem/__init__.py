@@ -24,7 +24,6 @@ from .trace import (
 from .ubm import (
     HotPageCounters, PageStats, StatStore, ThresholdController, avg_mlp_ratio,
     estimate_speedup, mlp_quotient, quantize_speedup, sensitivity,
-    speedup_delta_exact, speedup_delta_linear, stall_time_reduction, utility,
 )
 
 __version__ = "0.1.0"

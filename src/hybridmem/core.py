@@ -31,9 +31,9 @@ def _ceil_div(a: int, b: int) -> int:
 class AppCore:
     RETIRE_WIDTH = 3
 
-    def __init__(self, sim, app_id: int, trace, rob_capacity: int = 128,
-                 mshr_capacity: int = 32, warmup_instructions: int = 0,
-                 measured_instructions: int = 1_000_000):
+    def __init__(self, sim, app_id: int, trace, rob_capacity: int,
+                 mshr_capacity: int, warmup_instructions: int,
+                 measured_instructions: int):
         self.sim = sim
         self.app_id = app_id
         self.name = trace.header.app

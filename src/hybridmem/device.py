@@ -52,6 +52,8 @@ class DevTiming:
 
     def scaled(self, t_rcd_mult: float = 1.0, t_wr_mult: float = 1.0) -> "DevTiming":
         """Copy with activation / write-recovery times scaled."""
+        if t_rcd_mult == 1 and t_wr_mult == 1:
+            return self
         return replace(
             self,
             name=f"{self.name}x{t_rcd_mult:g}/{t_wr_mult:g}",
@@ -66,21 +68,16 @@ class DeviceGeometry:
 
     capacity_bytes: int
     banks: int = 8
-    ranks: int = 1
     row_buffer_bytes: int = 8192
     page_bytes: int = 8192
 
     def __post_init__(self):
-        if self.capacity_bytes <= 0 or self.banks <= 0 or self.ranks <= 0:
+        if self.capacity_bytes <= 0 or self.banks <= 0:
             raise ValueError("geometry fields must be positive")
         if self.row_buffer_bytes % self.page_bytes != 0:
             raise ValueError("page size must divide row size or equal it")
-        if self.capacity_bytes % (self.banks * self.ranks * self.row_buffer_bytes) != 0:
+        if self.capacity_bytes % (self.banks * self.row_buffer_bytes) != 0:
             raise ValueError("capacity must be a whole number of rows")
-
-    @property
-    def rows_per_bank(self) -> int:
-        return self.capacity_bytes // (self.banks * self.ranks * self.row_buffer_bytes)
 
     @property
     def pages(self) -> int:

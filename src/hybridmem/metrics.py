@@ -177,8 +177,26 @@ class SimReport:
         return out.getvalue()
 
 
+# The JSON values each scalar annotation of the report classes accepts. The
+# nested `apps` and `energy` are checked as they are rebuilt.
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict}
+
+
+def _type_problem(f, value) -> str | None:
+    annotation = f.type
+    if annotation.endswith(" | None"):
+        if value is None:
+            return None
+        annotation = annotation.removesuffix(" | None")
+    want = _JSON_TYPES.get(annotation)
+    if want is None or (isinstance(value, want) and not isinstance(value, bool)):
+        return None
+    return f"{f.name} is {json.dumps(value)}, not {f.type}"
+
+
 def _fields_of(cls, data, what: str) -> dict:
-    """`data` as keyword arguments of dataclass `cls`, checked by name."""
+    """`data` as keyword arguments of dataclass `cls`, checked by name and
+    by each value's type."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} is not a JSON object")
     declared = fields(cls)
@@ -190,6 +208,8 @@ def _fields_of(cls, data, what: str) -> dict:
         problems.append(f"missing keys {', '.join(missing)}")
     if unexpected:
         problems.append(f"unexpected keys {', '.join(unexpected)}")
+    problems += [p for f in declared if f.name in data
+                 if (p := _type_problem(f, data[f.name])) is not None]
     if problems:
         raise ValueError(f"{what}: {'; '.join(problems)}")
     return dict(data)

@@ -42,7 +42,7 @@ class NotResident(MigrationError):
 class TagStore:
     """Set-associative residency tags for the DRAM page cache."""
 
-    def __init__(self, dram_pages: int, associativity: int = 16):
+    def __init__(self, dram_pages: int, associativity: int):
         if dram_pages % associativity != 0 or dram_pages < associativity:
             raise ValueError("DRAM page count must be a multiple of the associativity")
         self.associativity = associativity
@@ -139,8 +139,8 @@ class MigrationEngine:
     """Bounded-concurrency executor for page migrations."""
 
     def __init__(self, sim, tag: TagStore, blocks_per_page: int,
-                 max_jobs: int = 4, pending_capacity: int = 8,
-                 inflight_blocks: int = 8):
+                 inflight_blocks: int, max_jobs: int = 4,
+                 pending_capacity: int = 8):
         self.sim = sim
         self.tag = tag
         self.blocks_per_page = blocks_per_page

@@ -5,6 +5,11 @@ isolation (same configuration and policy) to obtain alone-run IPCs for the
 speedup metrics. Alone runs are cached by (trace digest, config hash,
 policy) so sweeps do not recompute them.
 
+`ExperimentConfig` declares the experiment's own fields (traces, device
+sizes and presets, latency multipliers, queue capacities) and inherits the
+rest from `simulator.RunSettings`, which `sim_config()` copies into the
+`SimConfig` unchanged; every setting and its default is declared once.
+
 Config files are INI-style. The keys of the `[experiment]` section are
 exactly the `ExperimentConfig` field names, each parsed by its field's
 type. The two list fields have their own formats: `traces` is a
@@ -22,16 +27,15 @@ from dataclasses import dataclass, fields, replace
 from .controller import ControllerConfig
 from .device import DeviceGeometry, load_timing
 from .metrics import AppResult, EnergyReport, SimReport, config_hash
-from .simulator import SimConfig, Simulation
+from .simulator import RunSettings, SimConfig, Simulation
 from .trace import Trace
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(RunSettings):
     """Resolved description of one experiment point."""
 
     traces: tuple[str, ...] = ()      # paths; in-memory traces may be passed to run()
-    policy: str = "ubm"
     dram_bytes: int = 512 << 20
     nvm_bytes: int = 16 << 30
     dram_preset: str = "dram-baseline"
@@ -39,23 +43,12 @@ class ExperimentConfig:
     t_rcd_mult: float = 1.0           # NVM activation-time scaling
     t_wr_mult: float = 1.0            # NVM write-recovery scaling
     page_bytes: int = 8192
-    quantum_cycles: int = 1_000_000
-    sampling_period: int = 30
-    warmup_instructions: int = 0
-    measured_instructions: int = 1_000_000
-    rob_capacity: int = 128
-    mshr_capacity: int = 32
     read_queue: int = 64
     write_buffer: int = 32
-    migration_enabled: bool = True
-    preload_dram_pages: tuple[int, ...] = ()
     seed: int = 0
-    max_cycles: int | None = None
-    collect_quantum_log: bool = False
 
     def sim_config(self) -> SimConfig:
-        shared = {f.name: getattr(self, f.name) for f in fields(self)
-                  if f.name in _SIM_FIELDS}
+        shared = {f.name: getattr(self, f.name) for f in fields(RunSettings)}
         nvm_timing = load_timing(self.nvm_preset).scaled(self.t_rcd_mult,
                                                          self.t_wr_mult)
         return SimConfig(
@@ -82,8 +75,6 @@ class ExperimentConfig:
         return out
 
 
-# Fields copied one-to-one into SimConfig.
-_SIM_FIELDS = frozenset(f.name for f in fields(SimConfig))
 # Fields that only bound or instrument a run: kept out of resolved(), and so
 # out of the report's config block, its hash and the alone-run cache key.
 _RUN_CONTROL = frozenset({"max_cycles", "collect_quantum_log"})

@@ -54,34 +54,53 @@ _EV_PHASE = 3
 _EV_QUANTUM = 4
 
 
+# Cycles from a core's dispatch to its request reaching the memory
+# controllers (the tag-store lookup), and for a hit in the migration buffer.
+LOOKUP_CYCLES = 6
+BUFFER_SERVICE_CYCLES = 1
+
+
 @dataclass(frozen=True)
-class SimConfig:
+class RunSettings:
+    """The settings that an experiment passes to the simulator unchanged.
+
+    Both `SimConfig` and `runner.ExperimentConfig` inherit these fields, so
+    each is declared, with its default, only here.
+    """
+
+    policy: str = "ubm"
+    quantum_cycles: int = 1_000_000
+    sampling_period: int = 30
+    rob_capacity: int = 128
+    mshr_capacity: int = 32
+    migration_enabled: bool = True
+    warmup_instructions: int = 0
+    measured_instructions: int = 1_000_000
+    preload_dram_pages: tuple[int, ...] = ()
+    max_cycles: int | None = None
+    collect_quantum_log: bool = False
+
+
+@dataclass(frozen=True)
+class SimConfig(RunSettings):
+    """Everything a `Simulation` runs with.
+
+    That is the `RunSettings`, the devices and controllers that
+    `ExperimentConfig.sim_config()` builds from its sizes and presets, and
+    three knobs that only direct callers set. Values that no configuration
+    varies are constants instead: `LOOKUP_CYCLES`, `BUFFER_SERVICE_CYCLES`,
+    `controller.BLOCK_BYTES`, and the `StatStore` and `MigrationEngine`
+    defaults.
+    """
+
     dram_timing: DevTiming = DRAM_BASELINE
     nvm_timing: DevTiming = NVM_BASELINE
     dram_geometry: DeviceGeometry = DeviceGeometry(512 << 20)
     nvm_geometry: DeviceGeometry = DeviceGeometry(16 << 30)
     controller: ControllerConfig = ControllerConfig()
-    policy: str = "ubm"
-    quantum_cycles: int = 1_000_000
-    sampling_period: int = 30
-    lookup_cycles: int = 6
-    buffer_service_cycles: int = 1
-    rob_capacity: int = 128
-    mshr_capacity: int = 32
-    block_bytes: int = BLOCK_BYTES
     tag_associativity: int = 16
-    stat_sets: int = 64
-    stat_ways: int = 32
-    max_migrations: int = 4
-    migration_queue: int = 8
     migration_inflight_blocks: int = 8
-    migration_enabled: bool = True
     stat_decay: bool = False
-    warmup_instructions: int = 0
-    measured_instructions: int = 1_000_000
-    preload_dram_pages: tuple = ()
-    max_cycles: int | None = None
-    collect_quantum_log: bool = False
 
     def validate(self):
         if self.quantum_cycles <= 0 or self.sampling_period <= 0:
@@ -101,7 +120,7 @@ class Simulation:
         config.validate()
         self.config = config
         self.page_bytes = config.dram_geometry.page_bytes
-        self.block_bytes = config.block_bytes
+        self.block_bytes = BLOCK_BYTES
         self.blocks_per_page = self.page_bytes // self.block_bytes
 
         self.cycle = 0
@@ -119,19 +138,15 @@ class Simulation:
                                       self.nvm_energy)
         self.controllers = [self._dram, self._nvm]
         self.tag = TagStore(config.dram_geometry.pages, config.tag_associativity)
-        self.engine = MigrationEngine(
-            self, self.tag, self.blocks_per_page,
-            max_jobs=config.max_migrations,
-            pending_capacity=config.migration_queue,
-            inflight_blocks=config.migration_inflight_blocks,
-        )
+        self.engine = MigrationEngine(self, self.tag, self.blocks_per_page,
+                                      config.migration_inflight_blocks)
         for page in config.preload_dram_pages:
             if not self.tag.has_free_way(page):
                 raise ValueError(f"preloaded page {page} overflows its DRAM set")
             self.tag.reserve(page)
             self.tag.finalize(page)
 
-        self.store = StatStore(config.stat_sets, config.stat_ways)
+        self.store = StatStore()
         self.hot = HotPageCounters()
         self.policy = make_policy(config.policy)
         self.threshold = ThresholdController()
@@ -219,7 +234,7 @@ class Simulation:
             self.n_write_out[app] += 1
         if before == 0:
             self._delay_anchor[app] = cycle
-        self._push(cycle + self.config.lookup_cycles, _EV_INJECT, req)
+        self._push(cycle + LOOKUP_CYCLES, _EV_INJECT, req)
         return req
 
     def on_stall(self, core: AppCore, page: int, span: int):
@@ -242,7 +257,7 @@ class Simulation:
         if channel == BUFFER_CHANNEL:
             req.arrival_cycle = cycle
             req.issue_cycle = cycle
-            req.completion_cycle = cycle + self.config.buffer_service_cycles
+            req.completion_cycle = cycle + BUFFER_SERVICE_CYCLES
             self._push(req.completion_cycle, _EV_COMPLETE, req)
             return True
         ctrl = self.controllers[channel]
@@ -255,7 +270,8 @@ class Simulation:
                 and self.tag.resident(req.page_id):
             self.tag.touch(req.page_id)
         # Either controller, not only this one: a flag raised after this
-        # cycle's phase ran (zero-cycle lookup or buffer service) still waits.
+        # cycle's phase ran (as a zero LOOKUP_CYCLES or BUFFER_SERVICE_CYCLES
+        # would allow) still waits.
         if self._dram.may_issue or self._nvm.may_issue:
             self._ensure_phase(cycle)
         return True
@@ -526,8 +542,7 @@ class Simulation:
         rows = []
         for e in self.store.iter_entries():
             r_read, r_write = ubm.avg_mlp_ratio(e)
-            dstall = ubm.stall_time_reduction(e, self.config.dram_timing,
-                                              self.config.nvm_timing)
+            dstall = ubm.gap_stall_reduction(e, self.latency_gaps)
             rows.append({
                 "page": e.page_id,
                 "app": e.app_id,

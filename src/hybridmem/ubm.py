@@ -101,11 +101,6 @@ def gap_stall_reduction(entry: PageStats, gaps: tuple[int, int]) -> float:
             + WRITE_CRITICALITY_P * entry.write_misses * d_write * r_write)
 
 
-def stall_time_reduction(entry: PageStats, dram: DevTiming, nvm: DevTiming) -> float:
-    """Estimated stall cycles saved per quantum if this page moved to DRAM."""
-    return gap_stall_reduction(entry, latency_gaps(dram, nvm))
-
-
 def estimate_speedup(t_stall: int, t_interference: int, t_delay: int,
                      quantum_cycles: int) -> float:
     """Slowdown-corrected speedup estimate for one application's quantum.
@@ -130,19 +125,6 @@ def sensitivity(speedup: float, quantum_cycles: int) -> float:
     return speedup / quantum_cycles
 
 
-def utility(delta_stall: float, sens: float) -> float:
-    return delta_stall * sens
-
-
-def speedup_delta_exact(t_alone: float, t_shared: float, dt: float) -> float:
-    return t_alone / (t_shared - dt) - t_alone / t_shared
-
-
-def speedup_delta_linear(t_alone: float, t_shared: float, dt: float) -> float:
-    """First-order expansion of the speedup change for dt << t_shared."""
-    return (t_alone / t_shared) * (dt / t_shared)
-
-
 class StatStore:
     """Set-associative store of PageStats keyed by (page, application).
 
@@ -156,20 +138,6 @@ class StatStore:
         self.ways = ways
         self.sets = [OrderedDict() for _ in range(sets)]
         self.evictions = 0
-
-    @property
-    def capacity(self) -> int:
-        return self.num_sets * self.ways
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self.sets)
-
-    def get(self, page_id: int, app_id: int) -> PageStats | None:
-        s = self.sets[page_id % self.num_sets]
-        entry = s.get((page_id, app_id))
-        if entry is not None:
-            s.move_to_end((page_id, app_id))
-        return entry
 
     def get_or_alloc(self, page_id: int, app_id: int) -> PageStats:
         s = self.sets[page_id % self.num_sets]
@@ -216,9 +184,6 @@ class HotPageCounters:
 
     def __init__(self):
         self.entries = {}  # (page_id, app_id) -> [m_read, m_write, acc_r, acc_w, w_r, w_w]
-
-    def __len__(self):
-        return len(self.entries)
 
     def on_inject(self, page_id: int, app_id: int, is_write: bool):
         e = self.entries.get((page_id, app_id))

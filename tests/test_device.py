@@ -66,6 +66,11 @@ def test_scaled_multipliers():
     assert t.t_rcd_ns == 135.0
     assert t.t_wr_ns == 90.0
     assert t.t_cl_ns == NVM_BASELINE.t_cl_ns
+    assert t.name == "nvm-baselinex2/0.5"
+
+
+def test_unit_multipliers_keep_the_timing():
+    assert NVM_BASELINE.scaled(1.0, 1.0) is NVM_BASELINE
 
 
 def test_timing_rejects_nonpositive_fields():
@@ -138,9 +143,11 @@ def test_bank_busy_prefix_sums():
 def test_geometry_validation():
     g = DeviceGeometry(512 << 20)
     assert g.pages == 65536
-    assert g.rows_per_bank * g.banks * g.row_buffer_bytes == g.capacity_bytes
     with pytest.raises(ValueError):
         DeviceGeometry(8192 + 1)  # not a whole number of rows
+    DeviceGeometry(8 * 8192)      # one row in each of the 8 banks
+    with pytest.raises(ValueError):
+        DeviceGeometry(4 * 8192)  # rows that do not fill every bank
 
 
 def test_builtin_presets_by_name():

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from hybridmem import cli
 from hybridmem.metrics import (
     AppResult, EnergyReport, MissingAloneRun, SimReport, harmonic_speedup,
     normalize_reports, perf_per_watt, unfairness, weighted_speedup,
@@ -103,10 +106,39 @@ def _damaged(change):
     (_damaged(lambda d: d["apps"][0].pop("cycles")), r"^report app 0: missing keys cycles$"),
     (_damaged(lambda d: d.update(apps=3)), r"^report 'apps' is not a list$"),
     (_damaged(lambda d: d["energy"].update(x=0)), r"^report 'energy': unexpected keys x$"),
+    (_damaged(lambda d: d["energy"].update(nvm_standby_j="x")),
+     r"^report 'energy': nvm_standby_j is \"x\", not float$"),
+    (_damaged(lambda d: d["apps"][0].update(ipc_shared=None)),
+     r"^report app 0: ipc_shared is null, not float$"),
+    (_damaged(lambda d: d["apps"][0].update(cycles=1.5, reads=True)),
+     r"^report app 0: cycles is 1.5, not int; reads is true, not int$"),
+    (_damaged(lambda d: d.update(config=[], weighted_speedup="2")),
+     r"^report: config is \[\], not dict; weighted_speedup is \"2\", not float \| None$"),
 ])
 def test_report_from_dict_names_what_does_not_fit(data, message):
     with pytest.raises(ValueError, match=message):
         SimReport.from_dict(data)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda d: d["energy"].update(nvm_standby_j="x"),
+     'report \'energy\': nvm_standby_j is "x", not float'),
+    (lambda d: d["apps"][0].update(ipc_shared=None),
+     "report app 0: ipc_shared is null, not float"),
+])
+def test_cli_report_rejects_a_value_of_the_wrong_type(tmp_path, capsys, change, message):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(_damaged(change)))
+    assert cli.main(["report", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_report_accepts_ints_for_floats_and_null_for_optionals():
+    data = make_report().to_dict()
+    data["elapsed_seconds"] = 2
+    data["apps"][0]["ipc_alone"] = None
+    rep = SimReport.from_dict(data)
+    assert rep.elapsed_seconds == 2 and rep.apps[0].ipc_alone is None
 
 
 def test_report_csv_contains_apps_and_metrics():

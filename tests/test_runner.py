@@ -10,6 +10,7 @@ import pytest
 import hybridmem
 from hybridmem import cli, runner
 from hybridmem.runner import ExperimentConfig, load_experiment_config
+from hybridmem.simulator import RunSettings, SimConfig
 from hybridmem.trace import PageClass, SynthSpec, generate
 
 SRC = Path(hybridmem.__file__).resolve().parent
@@ -211,6 +212,21 @@ def test_quantum_log_from_config_file_is_written(tmp_path):
     rows = (out / "quantum_log.csv").read_text().splitlines()
     assert rows[0].startswith("quantum,cycle,total_stall,threshold")
     assert len(rows) > 2
+
+
+# -- one declaration per setting -------------------------------------------------
+
+def test_default_experiment_is_the_default_simulation():
+    # Pins the defaults the two configs cannot share by inheritance: device
+    # sizes, timing presets, queue capacities and the page size.
+    assert ExperimentConfig().sim_config() == SimConfig()
+
+
+def test_no_setting_is_declared_twice():
+    own = {cls: set(vars(cls).get("__annotations__", {}))
+           for cls in (RunSettings, ExperimentConfig, SimConfig)}
+    assert not own[ExperimentConfig] & own[SimConfig]
+    assert not (own[ExperimentConfig] | own[SimConfig]) & own[RunSettings]
 
 
 # -- source rules ----------------------------------------------------------------

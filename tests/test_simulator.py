@@ -8,6 +8,7 @@ import pytest
 from hybridmem import runner
 from hybridmem.controller import ControllerConfig
 from hybridmem.device import READ, DeviceGeometry
+from hybridmem.policies import UtilityPolicy
 from hybridmem.runner import ExperimentConfig
 from hybridmem.simulator import SimConfig, Simulation
 from hybridmem.trace import (
@@ -197,3 +198,15 @@ def test_job_blocked_on_full_write_buffer_is_repumped_and_finishes():
     assert any(blocked), "the job never stopped on the full write buffer"
     assert engine.pages_promoted == 1 and not engine.jobs
     assert sim.tag.resident(77)
+
+
+def test_top_pages_utility_is_the_policy_score():
+    config = SimConfig(dram_geometry=DeviceGeometry(1 << 20),
+                       nvm_geometry=DeviceGeometry(16 << 20), policy="ubm",
+                       quantum_cycles=5000, measured_instructions=20_000)
+    sim = Simulation(config, _spread_mix(0.7)).run()
+    rows = [r for r in sim.top_pages(50)
+            if len(sim.store.entries_for_page(r["page"])) == 1]
+    assert rows and rows[0]["utility"] > 0
+    for r in rows:
+        assert r["utility"] == UtilityPolicy().score(r["page"], sim.store, sim)

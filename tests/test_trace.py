@@ -222,7 +222,7 @@ def test_events_view_length_and_records():
 
 def test_core_shares_trace_columns():
     trace = generate(make_spec(), 100)
-    core = AppCore(None, 0, trace)
+    core = AppCore(None, 0, trace, 128, 32, 0, 1_000_000)
     assert core.gaps is trace.gaps
     assert core.addrs is trace.addresses
     assert core.kinds is trace.kinds

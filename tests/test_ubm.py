@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hybridmem.device import DRAM_BASELINE, NVM_BASELINE
+from hybridmem.policies import UtilityPolicy
 from hybridmem.ubm import (
     HotPageCounters, MISS_COUNT_MAX, MLP_ONE, MLP_WEIGHT_MAX, PageStats,
     StatStore, ThresholdController, avg_mlp_ratio, estimate_speedup,
-    mlp_quotient, quantize_speedup, sensitivity, speedup_delta_exact,
-    speedup_delta_linear, stall_time_reduction, utility,
+    gap_stall_reduction, latency_gaps, mlp_quotient, quantize_speedup,
+    sensitivity,
 )
 
 ULP = 1.0 / MLP_ONE  # one unit of the 10-fractional-bit grid
+BASELINE_GAPS = latency_gaps(DRAM_BASELINE, NVM_BASELINE)
 
 
 def entry(read_misses=0, write_misses=0, samples_read=(), samples_write=()):
@@ -83,7 +85,8 @@ def test_fold_adds_and_resets():
     hot.sample([0, 1], [0, 0])   # app 1: ratio 1.0, weight 1
     assert hot.on_complete(9, 1, False, store) is not None
     assert (9, 1) not in hot.entries
-    e = store.get(9, 1)
+    [e] = store.entries_for_page(9)
+    assert e.app_id == 1
     assert e.acc_read == MLP_ONE and e.weight_read == 1
 
 
@@ -101,7 +104,8 @@ def test_fold_with_zero_temporaries_allocates_but_adds_nothing():
     store = StatStore()
     hot.on_inject(9, 1, False)
     hot.on_complete(9, 1, False, store)  # never sampled
-    e = store.get(9, 1)
+    [e] = store.entries_for_page(9)
+    assert e.app_id == 1
     assert e.acc_read == 0 and e.weight_read == 0
 
 
@@ -109,10 +113,10 @@ def test_fold_into_full_set_evicts_lru():
     store = StatStore(sets=2, ways=2)
     a = store.get_or_alloc(0, 0)   # set 0
     b = store.get_or_alloc(2, 0)   # set 0
-    store.get(0, 0)                # refresh a; b becomes LRU
+    assert store.get_or_alloc(0, 0) is a   # refresh a; b becomes LRU
     store.get_or_alloc(4, 0)       # evicts b
-    assert store.get(2, 0) is None
-    assert store.get(0, 0) is a
+    assert store.entries_for_page(2) == []
+    assert store.entries_for_page(0) == [a]
     assert store.evictions == 1
 
 
@@ -144,33 +148,58 @@ def test_avg_ratio_zero_weight_is_zero():
 def test_stall_reduction_read_term():
     # 10 read misses at full exposure: 10 x (97.5 - 45) ns = 10 x 28 cycles.
     e = entry(read_misses=10, samples_read=[(1, 1)])
-    assert stall_time_reduction(e, DRAM_BASELINE, NVM_BASELINE) == pytest.approx(280.0)
+    assert gap_stall_reduction(e, BASELINE_GAPS) == pytest.approx(280.0)
 
 
 def test_stall_reduction_zero_misses():
     e = entry(samples_read=[(1, 1)], samples_write=[(1, 1)])
-    assert stall_time_reduction(e, DRAM_BASELINE, NVM_BASELINE) == 0.0
+    assert gap_stall_reduction(e, BASELINE_GAPS) == 0.0
 
 
 def test_stall_reduction_linear_in_ratio():
     full = entry(read_misses=10, samples_read=[(1, 1)])
     half = entry(read_misses=10, samples_read=[(1, 2)])
-    assert stall_time_reduction(half, DRAM_BASELINE, NVM_BASELINE) == pytest.approx(
-        stall_time_reduction(full, DRAM_BASELINE, NVM_BASELINE) / 2, rel=1e-9)
+    assert gap_stall_reduction(half, BASELINE_GAPS) == pytest.approx(
+        gap_stall_reduction(full, BASELINE_GAPS) / 2, rel=1e-9)
 
 
 def test_stall_reduction_write_term_uses_recovery_time():
     e = entry(write_misses=4, samples_write=[(1, 1)])
     # (15+67.5+15+180) - (15+15+15+15) = 217.5 ns = 116 cycles per miss
-    assert stall_time_reduction(e, DRAM_BASELINE, NVM_BASELINE) == pytest.approx(4 * 116.0)
+    assert gap_stall_reduction(e, BASELINE_GAPS) == pytest.approx(4 * 116.0)
+
+
+class _ScoreContext:
+    """The two things a policy reads from the simulation when it scores."""
+
+    latency_gaps = (100, 100)
+
+    def __init__(self, sens):
+        self.sens = sens
+
+    def sensitivity(self, app_id):
+        return self.sens[app_id]
+
+
+def _store_with(*entries):
+    store = StatStore()
+    for page, app, read_misses, write_misses in entries:
+        e = store.get_or_alloc(page, app)
+        e.read_misses, e.write_misses = read_misses, write_misses
+        e.add_samples(MLP_ONE, 1, MLP_ONE, 1)   # fully exposed
+    return store
 
 
 def test_utility_and_shared_page_aggregation():
-    assert utility(1000.0, 5e-7) == pytest.approx(5e-4)
-    assert utility(0.0, 123.0) == 0.0
-    # Shared page: per-application utilities add.
-    parts = [3e-4, 2e-4]
-    assert sum(parts) == pytest.approx(5e-4)
+    # Utility is stall-time reduction times sensitivity:
+    # 10 exposed misses x 100 cycles x 5e-7 per cycle.
+    ubm = UtilityPolicy()
+    assert ubm.score(0, _store_with((0, 0, 10, 0)),
+                     _ScoreContext({0: 5e-7})) == pytest.approx(5e-4)
+    assert ubm.score(0, _store_with((0, 0, 0, 0)), _ScoreContext({0: 123.0})) == 0.0
+    # Shared page: per-application utilities (3e-4 and 2e-4) add.
+    shared = _store_with((0, 0, 6, 0), (0, 1, 0, 4))
+    assert ubm.score(0, shared, _ScoreContext({0: 5e-7, 1: 5e-7})) == pytest.approx(5e-4)
 
 
 # -- speedup estimation ---------------------------------------------------------
@@ -285,23 +314,25 @@ def test_weights_saturate():
 
 def test_stat_store_capacity():
     store = StatStore()
-    assert store.capacity == 2048
+    assert len(store.sets) == 64
     for p in range(5000):
         store.get_or_alloc(p, p % 3)
-    assert len(store) <= 2048
+    assert all(len(s) == 32 for s in store.sets)   # 2048 entries, every set full
+    assert store.evictions == 5000 - 2048
 
 
 # -- Taylor expansion of the speedup change -----------------------------------
 
 def test_taylor_linearization_accuracy():
+    # Sensitivity is the first-order speedup gain per cycle of stall saved.
     rng = random.Random(1234)
     worst = 0.0
     for _ in range(1000):
         t_shared = rng.uniform(100.0, 1e7)
         t_alone = rng.uniform(0.1, 1.0) * t_shared
         dt = rng.uniform(1e-6, 0.01) * t_shared
-        exact = speedup_delta_exact(t_alone, t_shared, dt)
-        approx = speedup_delta_linear(t_alone, t_shared, dt)
+        exact = t_alone / (t_shared - dt) - t_alone / t_shared
+        approx = sensitivity(t_alone / t_shared, t_shared) * dt
         rel = abs(approx - exact) / exact
         worst = max(worst, rel)
     assert worst <= 0.02
@@ -331,7 +362,7 @@ def test_stall_reduction_monotone(read_misses, write_misses, r_read, r_write):
         e.weight_read = 1
         e.acc_write = int(rw * MLP_ONE)
         e.weight_write = 1
-        return stall_time_reduction(e, DRAM_BASELINE, NVM_BASELINE)
+        return gap_stall_reduction(e, BASELINE_GAPS)
 
     base = make(read_misses, write_misses, r_read, r_write)
     assert make(min(255, read_misses + 1), write_misses, r_read, r_write) >= base
