@@ -84,10 +84,12 @@ def test_golden_read_only_ubm():
     assert _digest(report) == "20a082909f476688"
 
 
-# Digests of the simulation state after twelve small runs that together
+# Digests of the simulation state after sixteen small runs that together
 # cover every policy, opportunistic writes on and off, write buffers of 9 to
-# 64 entries, 1 to 16 in-flight migration blocks, warmup, stat decay and a
-# run cut off by max_cycles.
+# 64 entries, 1 to 16 in-flight migration blocks, warmup, stat decay, runs
+# with migration off and a run cut off by max_cycles. With migration off no
+# policy acts, so `ubm` and `freq` share a digest; `all` ignores the stat
+# store, so decaying it leaves `all`'s digest as it is.
 _SPREAD = {
     "all": ({"policy": "all"}, "a27dc5b876636e8b"),
     "freq": ({"policy": "freq"}, "38b9c7a82dd4feb7"),
@@ -110,6 +112,15 @@ _SPREAD = {
                                     "stat_decay": True, "warmup_instructions": 3000},
                                    "a227c85af1613507"),
     "all-cut-off": ({"policy": "all", "max_cycles": 6000}, "9fc6ff3f733b27d1"),
+    "ubm-no-migration": ({"policy": "ubm", "migration_enabled": False},
+                         "e58ad62b2534885e"),
+    "freq-no-migration": ({"policy": "freq", "migration_enabled": False},
+                          "e58ad62b2534885e"),
+    "ubm-read-only-no-migration-warmup": ({"policy": "ubm", "read_fraction": 1.0,
+                                           "migration_enabled": False,
+                                           "warmup_instructions": 3000},
+                                          "7469149a65228943"),
+    "all-decay": ({"policy": "all", "stat_decay": True}, "a27dc5b876636e8b"),
 }
 
 
