@@ -21,6 +21,13 @@ def _mib(text: str) -> int:
     return int(text) << 20
 
 
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {value}")
+    return value
+
+
 def _add_override_args(p: argparse.ArgumentParser):
     # Each override's dest is the ExperimentConfig field it sets; an
     # override left out keeps the config file's value (default None).
@@ -43,8 +50,10 @@ def _add_override_args(p: argparse.ArgumentParser):
                    help="skip alone runs (no speedup metrics)")
     p.add_argument("--quantum-log", dest="collect_quantum_log", action="store_true",
                    default=None, help="write per-quantum statistics CSV")
-    p.add_argument("--debug-pages", type=int, metavar="K", default=0,
-                   help="dump the top-K pages by utility to CSV")
+    p.add_argument("--debug-pages", type=_nonnegative, metavar="K", default=0,
+                   help="dump the top-K pages by utility to top_pages.csv "
+                        "(0: off); it has no rows when the run keeps no page "
+                        "statistics: under policy all or with migration off")
     p.add_argument("--out", default="results", help="output directory")
 
 
@@ -81,6 +90,11 @@ def _write_run_outputs(report: SimReport, outdir: Path, args, suffix: str = ""):
                               f"{r['dram']['row_hit_rate']:.4f}",
                               f"{r['nvm']['row_hit_rate']:.4f}"])
     if args.debug_pages:
+        if not sim.keeps_page_stats:
+            why = ("migration is off" if not sim.config.migration_enabled
+                   else f"policy {sim.config.policy} reads none")
+            print(f"note: top_pages{suffix}.csv has no rows: the run kept no "
+                  f"page statistics ({why})", file=sys.stderr)
         rows = sim.top_pages(args.debug_pages)
         with open(outdir / f"top_pages{suffix}.csv", "w", newline="") as fh:
             w = csv.writer(fh)

@@ -1,9 +1,13 @@
 """Page-placement policies deciding which NVM pages move to DRAM.
 
-All policies share the migration threshold controller and the stat store;
-they differ only in how they score a page when one of its requests
-completes. Scores aggregate over every application's stat entry for the
-page, so shared pages are judged by their combined benefit.
+A policy scores a page when one of its NVM requests completes and
+promotes it when the score passes the migration threshold. `all` promotes
+every page, like a conventional DRAM cache, so it reads neither the
+threshold nor the page statistics; each policy declares which of the two it
+uses (`uses_threshold`, `uses_page_stats`), and the simulator keeps only
+what the policy reads. The other policies score from the stat store,
+aggregating over every application's entry for the page, so shared pages
+are judged by their combined benefit.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ class PolicyDecision:
 class PlacementPolicy:
     name = "base"
     uses_threshold = True
+    uses_page_stats = True
 
     def score(self, page_id: int, store: StatStore, ctx) -> float:
         raise NotImplementedError
@@ -43,6 +48,7 @@ class AllPolicy(PlacementPolicy):
 
     name = "all"
     uses_threshold = False
+    uses_page_stats = False
 
     def score(self, page_id, store, ctx):
         return 1.0

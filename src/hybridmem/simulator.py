@@ -26,11 +26,20 @@ issue, a request is parked (the freed slot may admit it), or the
 migration engine has a job stopped on a full queue or a promotion it
 could start. Migration jobs are re-pumped only after a queue slot freed,
 because every other change to a job pumps it on the spot.
+
+Page statistics -- the stat store, the MLP counters of pages with requests
+in flight to NVM, and the MLP sampling that feeds them -- are UBM's own
+hardware, so a run keeps them only when migration is on and its policy
+reads them (`PlacementPolicy.uses_page_stats`): never under `all`, which
+promotes every page, nor with migration off. That moves no simulated
+output, because nothing but the policy's score reads the statistics; only
+the `top_pages` debug table does, and it is empty on such runs.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 from . import ubm
@@ -146,9 +155,11 @@ class Simulation:
             self.tag.reserve(page)
             self.tag.finalize(page)
 
+        self.policy = make_policy(config.policy)
+        self.keeps_page_stats = (config.migration_enabled
+                                 and self.policy.uses_page_stats)
         self.store = StatStore()
         self.hot = HotPageCounters()
-        self.policy = make_policy(config.policy)
         self.threshold = ThresholdController()
         # NVM-DRAM (read, write) miss-latency gaps the policies score with.
         self.latency_gaps = ubm.latency_gaps(config.dram_timing, config.nvm_timing)
@@ -183,7 +194,8 @@ class Simulation:
 
         self._next_req_id = 0
         self._phase_cycle = -1
-        self._next_sample = config.sampling_period
+        self._next_sample = (config.sampling_period if self.keeps_page_stats
+                             else math.inf)
         self._parked = 0
         self._slot_freed = False   # a queue slot freed since the last pump
 
@@ -264,11 +276,12 @@ class Simulation:
         req.bank_id = req.page_id % ctrl.geometry.banks
         if not ctrl.enqueue(req, cycle):
             return False
-        if channel == NVM_CHANNEL and req.is_demand:
-            self.hot.on_inject(req.page_id, req.app_id, req.kind == WRITE)
-        elif channel == DRAM_CHANNEL and req.is_demand \
-                and self.tag.resident(req.page_id):
-            self.tag.touch(req.page_id)
+        if req.is_demand:
+            if channel == NVM_CHANNEL:
+                if self.keeps_page_stats:
+                    self.hot.on_inject(req.page_id, req.app_id, req.kind == WRITE)
+            elif self.tag.resident(req.page_id):
+                self.tag.touch(req.page_id)
         # Either controller, not only this one: a flag raised after this
         # cycle's phase ran (as a zero LOOKUP_CYCLES or BUFFER_SERVICE_CYCLES
         # would allow) still waits.
@@ -341,16 +354,16 @@ class Simulation:
                 self._delay_anchor[app] = None
             self.t_interference[app] += req.interference_delay
             self.t_outstanding[app] += cycle - req.dispatch_cycle
-            if req.channel == NVM_CHANNEL:
-                self.hot.on_complete(req.page_id, app, req.kind == WRITE, self.store)
+            if req.channel == NVM_CHANNEL and self.config.migration_enabled:
+                if self.keeps_page_stats:
+                    self.hot.on_complete(req.page_id, app, req.kind == WRITE,
+                                         self.store)
                 self._maybe_migrate(req.page_id, cycle)
         if self._dram.may_issue or self._nvm.may_issue or self._parked \
                 or self.engine.can_progress():
             self._ensure_phase(cycle)
 
     def _maybe_migrate(self, page: int, cycle: int):
-        if not self.config.migration_enabled:
-            return
         if page in self.engine.migrating or self.tag.resident(page):
             return
         decision = self.policy.decide(page, self.store, self,
@@ -373,7 +386,7 @@ class Simulation:
             self.app_row_hits[app] += 1
         else:
             self.app_row_misses[app] += 1
-        if req.channel == NVM_CHANNEL:
+        if req.channel == NVM_CHANNEL and self.keeps_page_stats:
             entry = self.store.get_or_alloc(req.page_id, app)
             entry.count_access()
             if not hit:

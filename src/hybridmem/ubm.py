@@ -129,14 +129,17 @@ class StatStore:
     """Set-associative store of PageStats keyed by (page, application).
 
     The set index depends only on the page id, so every application's entry
-    for a shared page lands in the same set and aggregation is a single-set
-    scan. LRU replacement within each set.
+    for a shared page lands in the same set. LRU replacement within each
+    set. A page index maps each page to its entries by application, in the
+    order they hold in their set, so looking up or dropping a page's
+    entries needs no scan of the set.
     """
 
     def __init__(self, sets: int = 64, ways: int = 32):
         self.num_sets = sets
         self.ways = ways
         self.sets = [OrderedDict() for _ in range(sets)]
+        self._pages = {}   # page -> {app: PageStats}, in set (LRU) order
         self.evictions = 0
 
     def get_or_alloc(self, page_id: int, app_id: int) -> PageStats:
@@ -145,22 +148,33 @@ class StatStore:
         entry = s.get(key)
         if entry is None:
             if len(s) >= self.ways:
-                s.popitem(last=False)  # discard the set's LRU entry
+                # The set's LRU entry is also the LRU one of its page.
+                (page, app), _ = s.popitem(last=False)
+                apps = self._pages[page]
+                del apps[app]
+                if not apps:
+                    del self._pages[page]
                 self.evictions += 1
             entry = PageStats(page_id, app_id)
             s[key] = entry
+            self._pages.setdefault(page_id, {})[app_id] = entry
         else:
             s.move_to_end(key)
+            apps = self._pages[page_id]
+            if len(apps) > 1:
+                apps[app_id] = apps.pop(app_id)
         return entry
 
-    def entries_for_page(self, page_id: int):
-        s = self.sets[page_id % self.num_sets]
-        return [e for (p, _a), e in s.items() if p == page_id]
+    def entries_for_page(self, page_id: int) -> list[PageStats]:
+        apps = self._pages.get(page_id)
+        return list(apps.values()) if apps else []
 
     def invalidate_page(self, page_id: int):
-        s = self.sets[page_id % self.num_sets]
-        for key in [k for k in s if k[0] == page_id]:
-            del s[key]
+        apps = self._pages.pop(page_id, None)
+        if apps:
+            s = self.sets[page_id % self.num_sets]
+            for app in apps:
+                del s[(page_id, app)]
 
     def halve_all(self):
         for s in self.sets:

@@ -173,7 +173,8 @@ def test_cli_tracegen_run_report(tmp_path, capsys):
         assert (out / policy / "report.json").is_file()
         assert (out / policy / "report.csv").is_file()
         assert not (out / policy / "quantum_log.csv").exists()
-    assert (out / "ubm" / "top_pages.csv").is_file()
+    assert len((out / "ubm" / "top_pages.csv").read_text().splitlines()) == 6
+    assert "note:" not in capsys.readouterr().err
 
     merged = tmp_path / "merged.csv"
     assert cli.main(["report", str(out / "ubm" / "report.json"),
@@ -183,6 +184,38 @@ def test_cli_tracegen_run_report(tmp_path, capsys):
     assert lines[0].startswith("policy,config_hash,weighted_speedup")
     assert lines[1].startswith("ubm,") and lines[2].startswith("all,")
     assert any(line.startswith("all,1.0,1.0,1.0") for line in lines)
+
+
+def test_cli_rejects_a_negative_debug_pages_count(tmp_path, capsys):
+    traces = _write_traces(tmp_path, n=1)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--trace", traces[0], "--debug-pages", "-3",
+                  "--out", str(out)])
+    assert exc.value.code == 2
+    assert "error: argument --debug-pages: must be 0 or more, not -3" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ini, flags, why", [
+    ("", ["--policy", "all"], "policy all reads none"),
+    ("migration_enabled = false\n", [], "migration is off"),
+], ids=["all", "no-migration"])
+def test_cli_debug_pages_says_why_a_run_has_no_page_rows(tmp_path, capsys, ini,
+                                                         flags, why):
+    traces = _write_traces(tmp_path, n=1)
+    config = tmp_path / "exp.ini"
+    config.write_text(f"[experiment]\ntraces = {traces[0]}\n"
+                      "dram_bytes = 1048576\nnvm_bytes = 16777216\n"
+                      "quantum_cycles = 5000\nmeasured_instructions = 20000\n" + ini)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), *flags, "--no-alone",
+                     "--debug-pages", "5", "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["note: top_pages.csv has no rows: the run kept no page "
+                   f"statistics ({why})"]
+    assert (out / "top_pages.csv").read_text() == ""
 
 
 @pytest.mark.parametrize("text, message", [

@@ -4,16 +4,19 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridmem import runner
 from hybridmem.controller import ControllerConfig
+from hybridmem.core import AppCore
 from hybridmem.device import READ, DeviceGeometry
-from hybridmem.policies import UtilityPolicy
+from hybridmem.policies import POLICY_NAMES, UtilityPolicy
 from hybridmem.runner import ExperimentConfig
 from hybridmem.simulator import SimConfig, Simulation
 from hybridmem.trace import (
     PageClass, SynthSpec, Trace, TraceHeader, generate,
 )
+from hybridmem.ubm import HotPageCounters
 
 
 def _gated_write_spec(seed: int) -> SynthSpec:
@@ -124,6 +127,12 @@ _SPREAD = {
 }
 
 
+def _small_config(**fields) -> SimConfig:
+    return SimConfig(dram_geometry=DeviceGeometry(1 << 20),
+                     nvm_geometry=DeviceGeometry(16 << 20), quantum_cycles=5000,
+                     measured_instructions=20_000, **fields)
+
+
 def _spread_mix(read_fraction: float):
     return [generate(SynthSpec(name=f"app{i}", target_mpki=30.0 - 12 * i,
                                read_fraction=read_fraction, seed=7 + i,
@@ -159,19 +168,15 @@ def test_golden_config_spread(case):
     controller = ControllerConfig(**{k: fields.pop(k) for k in
                                      ("write_buffer_capacity", "opportunistic_writes")
                                      if k in fields})
-    config = SimConfig(dram_geometry=DeviceGeometry(1 << 20),
-                       nvm_geometry=DeviceGeometry(16 << 20), controller=controller,
-                       quantum_cycles=5000, measured_instructions=20_000, **fields)
+    config = _small_config(controller=controller, **fields)
     sim = Simulation(config, _spread_mix(read_fraction)).run()
     assert sim.finished == (config.max_cycles is None)
     assert _state_digest(sim) == digest
 
 
 def test_read_only_mix_asks_controllers_only_when_they_issue():
-    config = SimConfig(dram_geometry=DeviceGeometry(1 << 20),
-                       nvm_geometry=DeviceGeometry(16 << 20), migration_enabled=False,
-                       quantum_cycles=5000, measured_instructions=20_000)
-    sim = Simulation(config, _spread_mix(read_fraction=1.0))
+    sim = Simulation(_small_config(migration_enabled=False),
+                     _spread_mix(read_fraction=1.0))
     results = []
     for ctrl in sim.controllers:
         def counted(cycle, try_issue=ctrl.try_issue):
@@ -212,12 +217,111 @@ def test_job_blocked_on_full_write_buffer_is_repumped_and_finishes():
 
 
 def test_top_pages_utility_is_the_policy_score():
-    config = SimConfig(dram_geometry=DeviceGeometry(1 << 20),
-                       nvm_geometry=DeviceGeometry(16 << 20), policy="ubm",
-                       quantum_cycles=5000, measured_instructions=20_000)
-    sim = Simulation(config, _spread_mix(0.7)).run()
+    sim = Simulation(_small_config(policy="ubm"), _spread_mix(0.7)).run()
     rows = [r for r in sim.top_pages(50)
             if len(sim.store.entries_for_page(r["page"])) == 1]
     assert rows and rows[0]["utility"] > 0
     for r in rows:
         assert r["utility"] == UtilityPolicy().score(r["page"], sim.store, sim)
+
+
+# -- page statistics -------------------------------------------------------------
+
+@pytest.mark.parametrize("fields", [{"policy": "ubm", "migration_enabled": False},
+                                    {"policy": "all"}], ids=["no-migration", "all"])
+def test_runs_whose_policy_reads_no_page_statistics_keep_none(fields, monkeypatch):
+    samples = []
+    monkeypatch.setattr(HotPageCounters, "sample",
+                        lambda self, *args, **kwargs: samples.append(args))
+    sim = Simulation(_small_config(**fields), _spread_mix(0.7)).run()
+    assert sim.finished and not sim.keeps_page_stats
+    assert sim.engine.pages_promoted > 0 or not sim.config.migration_enabled
+    assert list(sim.store.iter_entries()) == [] and sim.hot.entries == {}
+    assert samples == []
+    assert sim.top_pages(5) == []
+
+
+@pytest.mark.parametrize("policy", ["freq", "rbla", "ubm-st", "ubm"])
+def test_policies_that_score_pages_keep_page_statistics(policy):
+    sim = Simulation(_small_config(policy=policy), _spread_mix(0.7)).run()
+    assert sim.keeps_page_stats
+    entries = list(sim.store.iter_entries())
+    assert entries and any(e.weight_read for e in entries)   # samples folded in
+    assert len(sim.top_pages(5)) == 5
+
+
+# -- end-to-end properties ---------------------------------------------------------
+# Random small mixes under every policy, with migration on and off. Two
+# known defects are left out of the drawn space, each pinned by a test
+# below: runs have no warmup, and every app reads at least 30% of the time
+# (as much as the most write-heavy bench shape).
+
+_apps = st.lists(st.builds(
+    dict, mpki=st.floats(2.0, 40.0), read_fraction=st.floats(0.3, 1.0),
+    pages=st.integers(16, 256), burst=st.integers(1, 4),
+    row_hit_prob=st.floats(0.0, 0.9), seed=st.integers(0, 1000)),
+    min_size=1, max_size=3)
+
+
+def _small_mix(apps):
+    return [generate(SynthSpec(name=f"app{i}", target_mpki=a["mpki"],
+                               read_fraction=a["read_fraction"], seed=a["seed"],
+                               first_page=300 * i,
+                               classes=(PageClass(a["pages"], burst=a["burst"],
+                                                  row_hit_prob=a["row_hit_prob"]),
+                                        PageClass(16, weight=2.0))), 400)
+            for i, a in enumerate(apps)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(apps=_apps, policy=st.sampled_from(POLICY_NAMES),
+       migration_enabled=st.booleans(), stat_decay=st.booleans(),
+       quantum_cycles=st.integers(1000, 20_000), sampling_period=st.integers(5, 60),
+       measured_instructions=st.integers(1000, 4000),
+       write_buffer_capacity=st.integers(9, 64), opportunistic_writes=st.booleans(),
+       migration_inflight_blocks=st.integers(1, 16))
+def test_every_run_finishes_within_the_accounting_bounds(
+        apps, write_buffer_capacity, opportunistic_writes, **fields):
+    controller = ControllerConfig(write_buffer_capacity=write_buffer_capacity,
+                                  opportunistic_writes=opportunistic_writes)
+    config = SimConfig(dram_geometry=DeviceGeometry(1 << 20),
+                       nvm_geometry=DeviceGeometry(16 << 20), controller=controller,
+                       max_cycles=2_000_000, **fields)
+    sim = Simulation(config, _small_mix(apps)).run()
+    assert sim.finished
+    for i, core in enumerate(sim.cores):
+        win = sim.measured_window(i)
+        assert 0 < core.ipc() <= AppCore.RETIRE_WIDTH
+        assert win["t_stall"] <= win["cycle"]
+        assert win["t_interference"] <= win["t_delay"]
+
+
+# -- known defects -------------------------------------------------------------
+# Each test pins a defect that is not fixed yet. It fails while the defect
+# stands; once fixed, strict xfail fails the run until the marker goes, and
+# the property test above can draw the case.
+
+@pytest.mark.xfail(strict=True, reason="the warmup marker rounds up to a whole "
+                   "cycle, so the measured window can be a cycle short")
+def test_ipc_after_warmup_stays_within_the_retire_width():
+    config = _small_config(quantum_cycles=1000, warmup_instructions=1,
+                           measured_instructions=1000, migration_enabled=False)
+    sim = Simulation(config, _small_mix([dict(mpki=2.0, read_fraction=0.0, pages=16,
+                                              burst=1, row_hit_prob=0.0, seed=0)]))
+    sim.run()
+    assert sim.finished
+    assert sim.cores[0].ipc() <= AppCore.RETIRE_WIDTH   # 1000 / 333 cycles
+
+
+@pytest.mark.xfail(strict=True, reason="a write drain lasts while a writer "
+                   "refills the buffer, and a ready write always beats a read")
+def test_a_pure_writer_does_not_starve_reads():
+    traces = [generate(SynthSpec(name="writer", target_mpki=30.0, read_fraction=0.0,
+                                 seed=1, classes=(PageClass(128, burst=4),)), 400),
+              generate(SynthSpec(name="reader", target_mpki=10.0, read_fraction=1.0,
+                                 seed=2, first_page=300,
+                                 classes=(PageClass(128),)), 400)]
+    config = _small_config(measured_instructions=5000, migration_enabled=False,
+                           max_cycles=100_000)
+    sim = Simulation(config, traces).run()
+    assert sim.finished   # the reader stops at 781 instructions, 7 reads issued

@@ -312,6 +312,30 @@ def test_weights_saturate():
     assert e.weight_read == MLP_WEIGHT_MAX
 
 
+def _set_scan(store, page):
+    """The page's entries found by scanning its set, in set (LRU) order."""
+    return [e for (p, _a), e in store.sets[page % store.num_sets].items() if p == page]
+
+
+@given(st.lists(st.one_of(
+    st.tuples(st.just("get"), st.integers(0, 9), st.integers(0, 2)),
+    st.tuples(st.just("invalidate"), st.integers(0, 9))), max_size=80))
+def test_page_index_matches_a_scan_of_the_set(ops):
+    # Two sets of three ways over ten pages shared by three apps: entries
+    # are refreshed, evicted from full sets and invalidated.
+    store = StatStore(sets=2, ways=3)
+    for op in ops:
+        if op[0] == "get":
+            entry = store.get_or_alloc(op[1], op[2])
+            assert (entry.page_id, entry.app_id) == op[1:]
+        else:
+            store.invalidate_page(op[1])
+            assert store.entries_for_page(op[1]) == []
+        for page in range(10):
+            assert store.entries_for_page(page) == _set_scan(store, page)
+    assert all(len(s) <= 3 for s in store.sets)
+
+
 def test_stat_store_capacity():
     store = StatStore()
     assert len(store.sets) == 64
