@@ -130,16 +130,16 @@ class StatStore:
 
     The set index depends only on the page id, so every application's entry
     for a shared page lands in the same set. LRU replacement within each
-    set. A page index maps each page to its entries by application, in the
-    order they hold in their set, so looking up or dropping a page's
-    entries needs no scan of the set.
+    set. A page index lists each page's entries in the order they hold in
+    their set, so looking up or dropping a page's entries needs no scan of
+    the set.
     """
 
     def __init__(self, sets: int = 64, ways: int = 32):
         self.num_sets = sets
         self.ways = ways
         self.sets = [OrderedDict() for _ in range(sets)]
-        self._pages = {}   # page -> {app: PageStats}, in set (LRU) order
+        self._pages = {}   # page -> [PageStats], in set (LRU) order
         self.evictions = 0
 
     def get_or_alloc(self, page_id: int, app_id: int) -> PageStats:
@@ -149,32 +149,37 @@ class StatStore:
         if entry is None:
             if len(s) >= self.ways:
                 # The set's LRU entry is also the LRU one of its page.
-                (page, app), _ = s.popitem(last=False)
-                apps = self._pages[page]
-                del apps[app]
-                if not apps:
+                (page, _app), _ = s.popitem(last=False)
+                entries = self._pages[page]
+                del entries[0]
+                if not entries:
                     del self._pages[page]
                 self.evictions += 1
             entry = PageStats(page_id, app_id)
             s[key] = entry
-            self._pages.setdefault(page_id, {})[app_id] = entry
+            entries = self._pages.get(page_id)
+            if entries is None:
+                self._pages[page_id] = [entry]
+            else:
+                entries.append(entry)
         else:
             s.move_to_end(key)
-            apps = self._pages[page_id]
-            if len(apps) > 1:
-                apps[app_id] = apps.pop(app_id)
+            entries = self._pages[page_id]
+            if entries[-1] is not entry:
+                entries.remove(entry)
+                entries.append(entry)
         return entry
 
     def entries_for_page(self, page_id: int) -> list[PageStats]:
-        apps = self._pages.get(page_id)
-        return list(apps.values()) if apps else []
+        entries = self._pages.get(page_id)
+        return entries[:] if entries else []
 
     def invalidate_page(self, page_id: int):
-        apps = self._pages.pop(page_id, None)
-        if apps:
+        entries = self._pages.pop(page_id, None)
+        if entries:
             s = self.sets[page_id % self.num_sets]
-            for app in apps:
-                del s[(page_id, app)]
+            for e in entries:
+                del s[(page_id, e.app_id)]
 
     def halve_all(self):
         for s in self.sets:
