@@ -28,10 +28,10 @@ could start. Migration jobs are re-pumped only after a queue slot freed,
 because every other change to a job pumps it on the spot.
 
 Page statistics -- the stat store, the MLP counters of pages with requests
-in flight to NVM, and the MLP sampling that feeds them -- are UBM's own
-hardware, so a run keeps them only when migration is on and its policy
-reads them (`PlacementPolicy.uses_page_stats`): never under `all`, which
-promotes every page, nor with migration off. That moves no simulated
+in flight to NVM, and the MLP sampling that feeds them -- model hardware
+that only a scoring policy needs, so a run keeps them only when migration
+is on and its policy reads them (`PlacementPolicy.uses_page_stats`):
+never under `all`, which promotes every page, nor with migration off. That moves no simulated
 output, because nothing but the policy's score reads the statistics; only
 the `top_pages` debug table does, and it is empty on such runs.
 """
