@@ -174,6 +174,39 @@ def test_golden_config_spread(case):
     assert _state_digest(sim) == digest
 
 
+class _Completions(Simulation):
+    """Records every completed request."""
+
+    def __init__(self, config, traces):
+        self.completed = []
+        super().__init__(config, traces)
+
+    def _complete(self, req, cycle):
+        self.completed.append(req)
+        super()._complete(req, cycle)
+
+
+# Digests of one-application runs, like every alone run: the mixes above
+# run two applications, and the golden reports see an alone run only
+# through `ipc_alone`. With one application every interference term is 0.
+_ALONE = {
+    "all-writes": ({"policy": "all"}, 0.7, "e4c7c34bde5d21da"),
+    "ubm-read-only": ({"policy": "ubm"}, 1.0, "d779deb9e41c2e29"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ALONE))
+def test_golden_one_application(case):
+    fields, read_fraction, digest = _ALONE[case]
+    sim = _Completions(_small_config(**fields), _spread_mix(read_fraction)[:1]).run()
+    assert sim.finished
+    assert _state_digest(sim) == digest
+    demand = [r for r in sim.completed if r.is_demand]
+    assert demand and all(r.interference_delay == 0 for r in demand)
+    assert sim.t_interference == [0]
+    assert sim.measured_window(0)["t_interference"] == 0
+
+
 def test_read_only_mix_asks_controllers_only_when_they_issue():
     sim = Simulation(_small_config(migration_enabled=False),
                      _spread_mix(read_fraction=1.0))
