@@ -10,6 +10,13 @@ Interference attribution follows stall-time-fair accounting: a request's
 interference delay is the time it sat ready while its bank served other
 applications' requests, plus lost arbitration slots, plus the extra row
 conflict penalty when another application closed a row it would have hit.
+System (migration) traffic is nobody's interference and suffers none.
+`enqueue` snapshots the bank's busy cycles and row opens of other
+applications, and `_service` charges what they grew by while the request
+waited; `try_issue` charges the lost slots. A controller that only one
+application uses attributes nothing: all its bank time belongs to that
+application or to the system, so every term is 0, and the controller skips
+the snapshots, the charges and its banks' per-application sums.
 """
 
 from __future__ import annotations
@@ -18,12 +25,10 @@ from dataclasses import dataclass
 
 from .device import (
     Bank, DevTiming, DeviceGeometry, EnergyMeter,
-    READ, ROW_HIT, ROW_MISS, WRITE,
+    READ, ROW_HIT, ROW_MISS, SYSTEM_APP, WRITE,
     classify_access, service_latency,
 )
 from .device import BUFFER_CHANNEL, DRAM_CHANNEL, NVM_CHANNEL  # noqa: F401  re-exported
-
-SYSTEM_APP = -1        # migration traffic; excluded from per-app accounting
 
 BLOCK_BYTES = 64       # cache-block transfer granularity
 BLOCK_BITS = BLOCK_BYTES * 8
@@ -36,9 +41,7 @@ class MemRequest:
         "id", "app_id", "page_id", "row_id", "bank_id", "kind", "is_demand",
         "channel", "dispatch_cycle", "arrival_cycle", "issue_cycle",
         "completion_cycle", "interference_delay", "outcome",
-        "snap_busy_total", "snap_busy_app", "snap_busy_sys",
-        "would_hit", "snap_opens_total", "snap_opens_app", "snap_opens_sys",
-        "mig_job", "mig_block", "done",
+        "snap_busy", "snap_opens", "mig_job", "mig_block", "done",
     )
 
     def __init__(self, req_id: int, app_id: int, page_id: int, kind: int,
@@ -57,16 +60,18 @@ class MemRequest:
         self.completion_cycle = -1
         self.interference_delay = 0
         self.outcome = -1
-        self.snap_busy_total = 0
-        self.snap_busy_app = 0
-        self.snap_busy_sys = 0
-        self.would_hit = False
-        self.snap_opens_total = 0
-        self.snap_opens_app = 0
-        self.snap_opens_sys = 0
+        # Other applications' busy cycles and row opens on the bank at
+        # arrival; snap_opens stays -1 unless the request's row was open.
+        self.snap_busy = 0
+        self.snap_opens = -1
         self.mig_job = None
         self.mig_block = -1
         self.done = False
+
+    @property
+    def would_hit(self) -> bool:
+        """Whether the row was open at arrival, where interference counts."""
+        return self.snap_opens >= 0
 
 
 @dataclass(frozen=True)
@@ -105,13 +110,16 @@ class ChannelController:
     """FR-FCFS controller for one device channel."""
 
     def __init__(self, channel: int, timing: DevTiming, geometry: DeviceGeometry,
-                 config: ControllerConfig, energy: EnergyMeter):
+                 config: ControllerConfig, energy: EnergyMeter, shared: bool = True):
         self.channel = channel
         self.timing = timing
         self.geometry = geometry
         self.config = config
         self.energy = energy
-        self.banks = [Bank() for _ in range(geometry.banks)]
+        # Whether more than one application may issue here; only then is
+        # there interference to attribute.
+        self.shared = shared
+        self.banks = [Bank(shared) for _ in range(geometry.banks)]
         self.latency = [[service_latency(timing, k, o) for o in (ROW_HIT, ROW_MISS)]
                         for k in (READ, WRITE)]   # by [kind][outcome]
         if min(min(row) for row in self.latency) < 1:
@@ -179,16 +187,11 @@ class ChannelController:
         if eligible and bank.busy_until <= cycle:
             self.may_issue = True
         req.arrival_cycle = cycle
-        if req.app_id == SYSTEM_APP:
-            return True   # _service attributes no interference to migrations
-        req.snap_busy_total = bank.busy_total_at(cycle)
-        req.snap_busy_app = bank.busy_app_at(cycle, req.app_id)
-        req.snap_busy_sys = bank.busy_app_at(cycle, SYSTEM_APP)
-        if bank.open_row == req.row_id:
-            req.would_hit = True
-            req.snap_opens_total = bank.opens_total
-            req.snap_opens_app = bank.opens_app.get(req.app_id, 0)
-            req.snap_opens_sys = bank.opens_app.get(SYSTEM_APP, 0)
+        app = req.app_id
+        if self.shared and app != SYSTEM_APP:
+            req.snap_busy = bank.busy_by_others(app, cycle)
+            if bank.open_row == req.row_id:
+                req.snap_opens = bank.opens_by_others(app)
         return True
 
     def on_complete(self, req: MemRequest):
@@ -256,11 +259,8 @@ class ChannelController:
         # Requests that were bank-ready and eligible this cycle but lost the
         # command slot to a different application accrue one blocked cycle.
         w_app = winner.app_id
-        if w_app != SYSTEM_APP:
-            for r in reads:
-                if r is not winner and r.app_id not in (w_app, SYSTEM_APP):
-                    r.interference_delay += 1
-            for r in writes:
+        if self.shared and w_app != SYSTEM_APP:
+            for r in reads + writes:
                 if r is not winner and r.app_id not in (w_app, SYSTEM_APP):
                     r.interference_delay += 1
         # Each list holds at most one candidate per bank, so a bank other
@@ -280,26 +280,18 @@ class ChannelController:
         req.outcome = outcome
         req.issue_cycle = cycle
         req.completion_cycle = cycle + latency
-        wait = cycle - req.arrival_cycle
-        self.queue_wait_cycles += wait
+        self.queue_wait_cycles += cycle - req.arrival_cycle
 
-        if req.app_id != SYSTEM_APP:
+        app = req.app_id
+        if self.shared and app != SYSTEM_APP:
             # Bank-conflict share of the wait: cycles the bank spent serving
-            # other applications (system traffic excluded) while req waited.
-            busy_total = bank.busy_total_at(cycle) - req.snap_busy_total
-            busy_own = bank.busy_app_at(cycle, req.app_id) - req.snap_busy_app
-            busy_sys = bank.busy_app_at(cycle, SYSTEM_APP) - req.snap_busy_sys
-            blocked = busy_total - busy_own - busy_sys
-            if blocked > 0:
-                req.interference_delay += blocked
+            # other applications while req waited. The bank is free now, so
+            # every span it counts has ended.
+            req.interference_delay += bank.busy_by_others(app, cycle) - req.snap_busy
             # Row-locality change: req arrived with its row open but another
             # application's activation closed it before service.
-            if req.would_hit and outcome == ROW_MISS:
-                opens = bank.opens_total - req.snap_opens_total
-                own = bank.opens_app.get(req.app_id, 0) - req.snap_opens_app
-                sys_ = bank.opens_app.get(SYSTEM_APP, 0) - req.snap_opens_sys
-                if opens - own - sys_ > 0:
-                    req.interference_delay += latency - self.latency[req.kind][ROW_HIT]
+            if outcome == ROW_MISS and 0 <= req.snap_opens < bank.opens_by_others(app):
+                req.interference_delay += latency - self.latency[req.kind][ROW_HIT]
 
         if req.kind == READ:
             self.read_wait[req.bank_id].remove(req)
@@ -313,9 +305,9 @@ class ChannelController:
             self.row_hits += 1
         else:
             self.row_misses += 1
-        bank.occupy(req.app_id, cycle, latency)
+        bank.occupy(app, cycle, latency)
         if outcome == ROW_MISS:
-            bank.open_for(req.row_id, req.app_id)
+            bank.open_for(req.row_id, app)
         self.energy.account(BLOCK_BITS, req.kind, outcome)
 
     def stats_snapshot(self) -> dict:

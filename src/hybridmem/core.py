@@ -69,6 +69,8 @@ class AppCore:
         self.done_pos = warmup_instructions + measured_instructions
         self.warm_cycle = 0 if warmup_instructions == 0 else None
         self.done_cycle = None
+        # Head position of the next uncrossed marker (inf once both are).
+        self.next_marker = self.done_pos if self.warm_cycle == 0 else self.warm_pos
 
     # -- trajectory pieces ----------------------------------------------------
 
@@ -91,9 +93,11 @@ class AppCore:
         w = self.RETIRE_WIDTH
         if self.warm_cycle is None and old_head < self.warm_pos <= new_head:
             self.warm_cycle = seg_start + _ceil_div(self.warm_pos - old_head, w)
+            self.next_marker = self.done_pos
             self.sim.on_app_marker(self, "warm", self.warm_cycle)
         if self.done_cycle is None and old_head < self.done_pos <= new_head:
             self.done_cycle = seg_start + _ceil_div(self.done_pos - old_head, w)
+            self.next_marker = float("inf")
             self.sim.on_app_marker(self, "done", self.done_cycle)
 
     def _try_dispatch(self):
@@ -212,7 +216,7 @@ class AppCore:
                 if tail < new_head:
                     new_head = tail
                 if new_head > head:
-                    if self.done_cycle is None:
+                    if new_head >= self.next_marker:
                         self._record_markers(head, new_head, cycle)
                     self.head = new_head
             self.cycle = t_next
@@ -260,11 +264,9 @@ class AppCore:
         # completions and injections).
         rob_need = (self.tail - self.rob_capacity + 1
                     if self.tail_block == "rob" else head)
-        marker = head
-        if self.done_cycle is None:
-            marker = self.warm_pos if self.warm_cycle is None else self.done_pos
-            if marker > self.tail:
-                marker = head
+        marker = self.next_marker
+        if marker > self.tail:
+            marker = head
         if rob_need > head or marker > head:
             stop = self._head_stop()
             for target in (rob_need, marker):

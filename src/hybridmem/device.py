@@ -23,6 +23,8 @@ DRAM_CHANNEL = 0
 NVM_CHANNEL = 1
 BUFFER_CHANNEL = 2     # serviced from the migration buffer, no bank involved
 
+SYSTEM_APP = -1        # migration traffic; excluded from per-app accounting
+
 
 @dataclass(frozen=True)
 class DevTiming:
@@ -91,65 +93,65 @@ class DeviceGeometry:
 class Bank:
     """One bank: an open-row latch and a busy-until horizon.
 
-    busy_until only moves forward; per-app busy/row-open prefix sums feed
-    the interference attribution in the controller.
+    busy_until only moves forward. A bank that tracks applications also
+    sums its busy cycles and row opens per application, leaving out system
+    traffic, for the controller's interference attribution. A busy span
+    counts in full once occupied, so `busy_by_others` takes off the rest of
+    a span still in progress; it is exact from the end of the span before.
     """
 
     __slots__ = (
-        "open_row", "busy_until",
-        "span_start", "span_end", "span_app",
-        "cum_busy_total", "cum_busy_app",
-        "opens_total", "opens_app",
+        "open_row", "busy_until", "tracks_apps", "span_start", "span_app",
+        "busy_apps", "busy_by_app", "opens_apps", "opens_by_app",
     )
 
-    def __init__(self):
+    def __init__(self, tracks_apps: bool = True):
         self.open_row = None
         self.busy_until = 0
-        # Current occupancy span [span_start, span_end) owned by span_app.
-        self.span_start = 0
-        self.span_end = 0
-        self.span_app = None
-        # Busy-cycle prefix sums, total and per app, complete up to span_start.
-        self.cum_busy_total = 0
-        self.cum_busy_app = {}
-        # Row-open event counts (total / per app).
-        self.opens_total = 0
-        self.opens_app = {}
+        self.tracks_apps = tracks_apps
+        self.span_start = 0         # the last span is [span_start, busy_until)
+        self.span_app = SYSTEM_APP
+        # Busy cycles and row opens of all non-system applications, and of each.
+        self.busy_apps = 0
+        self.busy_by_app = {}
+        self.opens_apps = 0
+        self.opens_by_app = {}
 
-    def busy_total_at(self, cycle: int) -> int:
-        """Cumulative busy cycles on this bank up to `cycle`."""
-        extra = min(cycle, self.span_end) - self.span_start
-        return self.cum_busy_total + (extra if extra > 0 else 0)
+    def busy_by_others(self, app_id: int, cycle: int) -> int:
+        """Cycles up to `cycle` spent serving applications other than
+        `app_id` and the system."""
+        busy = self.busy_apps - self.busy_by_app.get(app_id, 0)
+        owner = self.span_app
+        if owner != app_id and owner != SYSTEM_APP:
+            start = self.span_start
+            rest = self.busy_until - (cycle if cycle > start else start)
+            if rest > 0:
+                busy -= rest
+        return busy
 
-    def busy_app_at(self, cycle: int, app_id: int) -> int:
-        """Cumulative cycles this bank spent serving `app_id` up to `cycle`."""
-        base = self.cum_busy_app.get(app_id, 0)
-        if self.span_app == app_id:
-            extra = min(cycle, self.span_end) - self.span_start
-            if extra > 0:
-                base += extra
-        return base
+    def opens_by_others(self, app_id: int) -> int:
+        """Rows opened for applications other than `app_id` and the system."""
+        return self.opens_apps - self.opens_by_app.get(app_id, 0)
 
     def occupy(self, app_id: int, start: int, length: int):
         """Mark the bank busy for [start, start+length) on behalf of app_id."""
-        # Close out the previous span into the prefix sums.
-        prev = self.span_end - self.span_start
-        if prev > 0:
-            self.cum_busy_total += prev
-            a = self.span_app
-            self.cum_busy_app[a] = self.cum_busy_app.get(a, 0) + prev
-        self.span_start = start
-        self.span_end = start + length
-        self.span_app = app_id
-        if start + length < self.busy_until:
+        end = start + length
+        if end < self.busy_until:
             raise AssertionError("bank busy_until must be non-decreasing")
-        self.busy_until = start + length
+        self.busy_until = end
+        if self.tracks_apps:
+            self.span_start = start
+            self.span_app = app_id
+            if app_id != SYSTEM_APP:
+                self.busy_apps += length
+                self.busy_by_app[app_id] = self.busy_by_app.get(app_id, 0) + length
 
     def open_for(self, row: int, app_id: int):
         """Record a row activation performed on behalf of app_id."""
         self.open_row = row
-        self.opens_total += 1
-        self.opens_app[app_id] = self.opens_app.get(app_id, 0) + 1
+        if self.tracks_apps and app_id != SYSTEM_APP:
+            self.opens_apps += 1
+            self.opens_by_app[app_id] = self.opens_by_app.get(app_id, 0) + 1
 
 
 def classify_access(bank: Bank, row: int) -> int:

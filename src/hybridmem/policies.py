@@ -12,7 +12,7 @@ are judged by their combined benefit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ubm import StatStore, gap_stall_reduction
 
@@ -22,8 +22,7 @@ PROMOTE = "promote"
 STAY = "stay"
 
 
-@dataclass(frozen=True)
-class PolicyDecision:
+class PolicyDecision(NamedTuple):
     page_id: int
     action: str
     score: float = 0.0

@@ -139,12 +139,14 @@ class Simulation:
 
         self.dram_energy = EnergyMeter(config.dram_timing, config.dram_geometry)
         self.nvm_energy = EnergyMeter(config.nvm_timing, config.nvm_geometry)
+        # With one application there is no interference to attribute.
+        shared = len(traces) > 1
         self._dram = ChannelController(DRAM_CHANNEL, config.dram_timing,
                                        config.dram_geometry, config.controller,
-                                       self.dram_energy)
+                                       self.dram_energy, shared)
         self._nvm = ChannelController(NVM_CHANNEL, config.nvm_timing,
                                       config.nvm_geometry, config.controller,
-                                      self.nvm_energy)
+                                      self.nvm_energy, shared)
         self.controllers = [self._dram, self._nvm]
         self.tag = TagStore(config.dram_geometry.pages, config.tag_associativity)
         self.engine = MigrationEngine(self, self.tag, self.blocks_per_page,
@@ -180,7 +182,8 @@ class Simulation:
         self.app_writes = [0] * n
         self.app_row_hits = [0] * n
         self.app_row_misses = [0] * n
-        self.speedup_est = [1.0] * n      # previous-quantum estimate, quantized
+        # Weights from the previous quantum's speedup estimates (1 at first).
+        self._sensitivity = [ubm.sensitivity(1.0, config.quantum_cycles)] * n
         # Counter snapshots at the last quantum boundary, and at the warmup
         # and completion markers; every counter is zero at cycle 0, which
         # stands in for an uncrossed warmup marker.
@@ -229,7 +232,7 @@ class Simulation:
     # -- scoring interface for the policy ------------------------------------
 
     def sensitivity(self, app_id: int) -> float:
-        return ubm.sensitivity(self.speedup_est[app_id], self.config.quantum_cycles)
+        return self._sensitivity[app_id]
 
     # -- core callbacks -----------------------------------------------------
 
@@ -359,8 +362,9 @@ class Simulation:
                     self.hot.on_complete(req.page_id, app, req.kind == WRITE,
                                          self.store)
                 self._maybe_migrate(req.page_id, cycle)
+        engine = self.engine
         if self._dram.may_issue or self._nvm.may_issue or self._parked \
-                or self.engine.can_progress():
+                or ((engine.jobs or engine.pending) and engine.can_progress()):
             self._ensure_phase(cycle)
 
     def _maybe_migrate(self, page: int, cycle: int):
@@ -374,8 +378,7 @@ class Simulation:
             self.engine.request_promotion(page, cycle)
 
     def on_issue(self, req: MemRequest):
-        if not req.is_demand:
-            return
+        """Count an issued demand request."""
         app = req.app_id
         if req.kind == READ:
             self.app_reads[app] += 1
@@ -434,10 +437,10 @@ class Simulation:
             snap = self._snapshot(i, cycle)
             win = self._window(self._quantum_snaps[i], snap)
             self._quantum_snaps[i] = snap
-            s = ubm.estimate_speedup(win["t_stall"], win["t_interference"],
-                                     win["t_delay"], q)
-            self.speedup_est[i] = ubm.quantize_speedup(s)
-            speedups.append(self.speedup_est[i])
+            s = ubm.quantize_speedup(ubm.estimate_speedup(
+                win["t_stall"], win["t_interference"], win["t_delay"], q))
+            self._sensitivity[i] = ubm.sensitivity(s, q)
+            speedups.append(s)
             total_stall += win["t_stall"]
         if self.policy.uses_threshold:
             self.threshold.end_quantum(total_stall)
@@ -472,7 +475,8 @@ class Simulation:
             ctrl.may_issue = ctrl.more_ready   # False whenever req is None
             if req is not None:
                 again = again or ctrl.more_ready
-                self.on_issue(req)
+                if req.is_demand:
+                    self.on_issue(req)
                 self._push(req.completion_cycle, _EV_COMPLETE, req)
         if again:
             self._ensure_phase(cycle + 1)

@@ -171,8 +171,8 @@ class StatStore:
         return entry
 
     def entries_for_page(self, page_id: int) -> list[PageStats]:
-        entries = self._pages.get(page_id)
-        return entries[:] if entries else []
+        """The page's entries in set order: the store's own list, read-only."""
+        return self._pages.get(page_id) or []
 
     def invalidate_page(self, page_id: int):
         entries = self._pages.pop(page_id, None)

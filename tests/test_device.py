@@ -1,10 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hybridmem.device import (
-    DRAM_BASELINE, NVM_BASELINE, Bank, DevTiming, DeviceGeometry, EnergyMeter,
-    READ, WRITE, ROW_HIT, ROW_MISS, classify_access, load_timing,
+    DRAM_BASELINE, NVM_BASELINE, SYSTEM_APP, Bank, DevTiming, DeviceGeometry,
+    EnergyMeter, READ, WRITE, ROW_HIT, ROW_MISS, classify_access, load_timing,
     service_latency,
 )
 
@@ -134,10 +135,42 @@ def test_bank_busy_prefix_sums():
     bank = Bank()
     bank.occupy(0, 0, 10)
     bank.occupy(1, 10, 20)
-    assert bank.busy_total_at(30) == 30
-    assert bank.busy_app_at(30, 0) == 10
-    assert bank.busy_app_at(30, 1) == 20
-    assert bank.busy_app_at(15, 1) == 5   # mid-span interpolation
+    assert bank.busy_by_others(2, 30) == 30    # both apps' spans
+    assert bank.busy_by_others(1, 30) == 10    # app 0's
+    assert bank.busy_by_others(0, 30) == 20    # app 1's
+    assert bank.busy_by_others(0, 15) == 5     # mid-span: the rest is taken off
+
+
+# Spans follow each other as the controller issues them. Each is drawn as
+# (gap after the previous span, length, owner, whether it opens a row, and
+# query offsets from the previous span's end: before, inside and after it).
+_spans = st.lists(st.tuples(st.integers(0, 20), st.integers(1, 30),
+                            st.sampled_from([0, 1, 2, SYSTEM_APP]), st.booleans(),
+                            st.lists(st.integers(0, 60), min_size=1, max_size=3)),
+                  min_size=1, max_size=12)
+
+
+@given(spans=_spans, observer=st.sampled_from([0, 1, 2]))
+def test_bank_snapshots_match_a_sum_over_recorded_spans(spans, observer):
+    bank = Bank()
+    recorded = []   # (start, end, app)
+    opened = []     # app of each row open
+    end = 0
+    for gap, length, app, opens_row, offsets in spans:
+        prev_end, start = end, end + gap
+        end = start + length
+        bank.occupy(app, start, length)
+        recorded.append((start, end, app))
+        if opens_row:
+            bank.open_for(start, app)
+            opened.append(app)
+        others = [(s, e) for s, e, a in recorded if a not in (observer, SYSTEM_APP)]
+        for offset in offsets:
+            cycle = prev_end + offset
+            assert bank.busy_by_others(observer, cycle) == sum(
+                max(0, min(cycle, e) - s) for s, e in others)
+        assert bank.opens_by_others(observer) == sum(
+            a not in (observer, SYSTEM_APP) for a in opened)
 
 
 def test_geometry_validation():
