@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from hybridmem import runner
 from hybridmem.controller import ControllerConfig
 from hybridmem.core import AppCore
-from hybridmem.device import READ, DeviceGeometry
+from hybridmem.device import (
+    BUFFER_CHANNEL, DRAM_CHANNEL, NVM_CHANNEL, READ, DeviceGeometry,
+)
 from hybridmem.policies import POLICY_NAMES, UtilityPolicy
 from hybridmem.runner import ExperimentConfig
 from hybridmem.simulator import SimConfig, Simulation
@@ -223,16 +225,24 @@ def test_read_only_mix_asks_controllers_only_when_they_issue():
 
 # -- migration liveness ------------------------------------------------------------
 
-def test_job_blocked_on_full_write_buffer_is_repumped_and_finishes():
-    # One idle app, so the only traffic is a single promotion. Its block
-    # writes overflow a 4-slot DRAM write buffer; writes issue outside drain
-    # mode, so every completed write frees a slot for the stalled job.
+def _idle_simulation(**fields) -> Simulation:
+    """One app that issues nothing, so the only traffic is what a test injects."""
     idle = Trace(TraceHeader("idle", 10**9, 8192), [10**9 - 1], [0], [READ])
+    return Simulation(SimConfig(measured_instructions=10**9, **fields), [idle])
+
+
+# Pages 0, 1, 2 of one set of a 2-way tag store over the default DRAM.
+_SETS = DeviceGeometry(512 << 20).pages // 2
+_SET_PAGES = tuple(7 + i * _SETS for i in range(3))
+
+
+def test_job_blocked_on_full_write_buffer_is_repumped_and_finishes():
+    # A single promotion. Its block writes overflow a 4-slot DRAM write
+    # buffer; writes issue outside drain mode, so every completed write
+    # frees a slot for the stalled job.
     controller = ControllerConfig(write_buffer_capacity=4, migration_reserve_writes=0,
                                   opportunistic_writes=True)
-    config = SimConfig(controller=controller, measured_instructions=10**9,
-                       max_cycles=20_000)
-    sim = Simulation(config, [idle])
+    sim = _idle_simulation(controller=controller, max_cycles=20_000)
     engine = sim.engine
     blocked = []
     pump_job = engine.pump_job
@@ -248,6 +258,68 @@ def test_job_blocked_on_full_write_buffer_is_repumped_and_finishes():
     assert engine.pages_promoted == 1 and not engine.jobs
     assert sim.tag.resident(77)
 
+
+
+def test_demand_routing_follows_each_block_of_an_eviction_then_its_promotion():
+    # `victim` is the LRU way of a full 2-way set, so promoting `page` into
+    # that set first evicts it. The engine of an unrun simulation is driven
+    # block by block; its pumped requests stay queued and never complete.
+    victim, kept, page = _SET_PAGES
+    sim = _idle_simulation(tag_associativity=2, preload_dram_pages=(victim, kept))
+    engine = sim.engine
+    assert engine.request_promotion(page, cycle=0)
+    job = engine.migrating[page]
+    assert engine.migrating[victim] is job and job.victim == victim
+    n = sim.blocks_per_page
+
+    def routes(p):
+        return [engine.route(p, b) for b in range(n)]
+
+    for moved, src, dst in ((victim, DRAM_CHANNEL, NVM_CHANNEL),
+                            (page, NVM_CHANNEL, DRAM_CHANNEL)):
+        for b in range(n):
+            assert routes(moved) == [dst] * b + [src] * (n - b)
+            engine.finish_block_read(job, b, cycle=0)
+            assert routes(moved) == [dst] * b + [BUFFER_CHANNEL] + [src] * (n - b - 1)
+            if moved == victim:
+                assert routes(page) == [NVM_CHANNEL] * n   # waits for the victim
+            engine.finish_block_write(job, b, cycle=0)
+        assert routes(moved) == [dst] * n
+    assert engine.pages_evicted == 1 and engine.pages_promoted == 1
+    assert not engine.jobs and not engine.migrating
+    assert sim.tag.resident(page) and not sim.tag.resident(victim)
+
+
+def test_promotion_waiting_on_a_set_of_migrating_ways_starts_when_one_finishes():
+    # Three promotions into one 2-way set: the first two take both ways, so
+    # the third waits in `pending` with no victim to evict until the first
+    # promotion finishes and its page becomes the set's LRU valid way.
+    first, second, third = _SET_PAGES
+    sim = _idle_simulation(controller=ControllerConfig(opportunistic_writes=True),
+                           tag_associativity=2, max_cycles=200_000)
+    engine = sim.engine
+    for p in _SET_PAGES:
+        assert engine.request_promotion(p, cycle=0)
+    assert list(engine.pending) == [third] and len(engine.jobs) == 2
+    started = []
+    finish_block_write = engine.finish_block_write
+
+    def watched(job, block, cycle):
+        if not started:
+            assert list(engine.pending) == [third] and third not in engine.migrating
+        promoted = engine.pages_promoted
+        finish_block_write(job, block, cycle)
+        if not started and engine.pages_promoted > promoted:
+            started.append((job.page, engine.migrating[third].victim))
+            assert not engine.pending
+
+    engine.finish_block_write = watched
+    sim.run()
+    assert started == [(first, first)]
+    assert engine.pages_promoted == 3 and engine.pages_evicted == 1
+    assert not engine.jobs and not engine.pending and not engine.migrating
+    assert sim.tag.resident(second) and sim.tag.resident(third)
+    assert engine.route(first, 0) == NVM_CHANNEL
 
 def test_top_pages_utility_is_the_policy_score():
     sim = Simulation(_small_config(policy="ubm"), _spread_mix(0.7)).run()
