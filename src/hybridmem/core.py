@@ -52,7 +52,9 @@ class AppCore:
         self.head = 0   # instructions retired
         self.tail = 0   # instructions admitted to the window
         self.next_mem_pos = self.gaps[0]
-        self.window_reads = deque()    # (position, request), dispatch order
+        # (position, request) of the reads dispatched since the oldest
+        # incomplete one, in dispatch order: the front is always incomplete.
+        self.window_reads = deque()
         self.pending_inject = deque()  # requests parked on a full queue
         self.outstanding_reads = 0     # MSHR occupancy, dispatch -> completion
         self.tail_block = None         # None | 'mshr' | 'gate' | 'rob'
@@ -77,14 +79,7 @@ class AppCore:
     def _head_stop(self):
         """Position where the head must pause next (None = unbounded)."""
         wr = self.window_reads
-        head = self.head
-        while wr and wr[0][0] < head:   # retired reads fall off the front
-            wr.popleft()
-        stop = None
-        for pos, req in wr:
-            if not req.done:
-                stop = pos
-                break
+        stop = wr[0][0] if wr else None
         if self.tail_block is not None:
             stop = self.tail if stop is None else min(stop, self.tail)
         return stop
@@ -170,15 +165,11 @@ class AppCore:
                 self._try_dispatch()
             cycle, head, tail = self.cycle, self.head, self.tail
             # Head stop: the oldest incomplete read, else a blocked tail.
-            while wr and wr[0][0] < head:   # retired reads fall off the front
-                wr.popleft()
             stop = None
-            for pos, req in wr:
-                if not req.done:
-                    stop = pos
-                    if pos == head and self.head_pin is None:
-                        self.head_pin = req
-                    break
+            if wr:
+                stop, req = wr[0]
+                if stop == head and self.head_pin is None:
+                    self.head_pin = req
             tail_block = self.tail_block
             if tail_block is not None and (stop is None or tail < stop):
                 stop = tail
@@ -234,6 +225,9 @@ class AppCore:
             self.advance(now)
         req.done = True
         self.outstanding_reads -= 1
+        wr = self.window_reads
+        while wr and wr[0][1].done:
+            wr.popleft()
         if self.head_pin is req:
             self.head_pin = None
         if self.tail == self.next_mem_pos:

@@ -1,15 +1,17 @@
 """DRAM tag store and the page-migration machinery.
 
 DRAM acts as a 16-way set-associative page cache over NVM with LRU
-replacement; every page starts NVM-resident. A migration moves one page as
-explicit block-granularity memory traffic: one read per cache block from
-the source device and one write per block to the destination, tagged with
-the reserved system application id. When a promotion needs a way in a full
-set, the LRU victim is written back to NVM first.
+replacement; every page starts NVM-resident. A migration job is one or two
+page moves: a promotion, preceded by the write-back of the set's LRU
+victim to NVM when the promotion needs a way in a full set. A job makes
+one move at a time, as explicit block-granularity memory traffic: one read
+per cache block from the source device and one write per block to the
+destination, tagged with the reserved system application id.
 
-During a migration each block carries a two-bit location (source device,
-migration buffer, destination device); incoming requests for the page are
-routed by that map. Block contents are not modeled, only their movement.
+During a move each block carries a two-bit location (source device,
+migration buffer, destination device); incoming requests for the moving
+page are routed by that map, and those for a page waiting behind its
+victim go to NVM. Block contents are not modeled, only their movement.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ from .device import BUFFER_CHANNEL, DRAM_CHANNEL, NVM_CHANNEL, READ, WRITE
 IN_SRC = 0
 IN_BUFFER = 1
 IN_DST = 2
-
-EVICT = 0
-PROMOTE = 1
 
 # Tag entry states.
 TAG_VALID = 0
@@ -85,54 +84,45 @@ class TagStore:
 
 
 class MigrationJob:
-    """One promotion, preceded by a victim eviction when the set was full."""
+    """One promotion, preceded by a victim eviction when the set was full.
+
+    That is one or two page moves, made one at a time; `moving` is the page
+    whose blocks are moving now, from `src_channel` to `dst_channel`.
+    """
 
     __slots__ = (
-        "page", "victim", "phase", "blocks", "block_state",
-        "next_read", "writes_done", "inflight", "pending_writes",
-        "src_channel", "dst_channel", "blocked",
+        "page", "victim", "moving", "src_channel", "dst_channel", "blocks",
+        "block_state", "next_read", "writes_done", "inflight", "pending_writes",
+        "blocked",
     )
 
     def __init__(self, page: int, victim: int | None, blocks: int):
         self.page = page
         self.victim = victim
         self.blocks = blocks
-        self.phase = EVICT if victim is not None else PROMOTE
-        self.block_state = [IN_SRC] * blocks
+        if victim is None:
+            self.begin(page, NVM_CHANNEL, DRAM_CHANNEL)
+        else:
+            self.begin(victim, DRAM_CHANNEL, NVM_CHANNEL)
+
+    def begin(self, page: int, src: int, dst: int):
+        """Start moving `page` from channel `src` to channel `dst`."""
+        self.moving = page
+        self.src_channel = src
+        self.dst_channel = dst
+        self.block_state = [IN_SRC] * self.blocks
         self.next_read = 0
         self.writes_done = 0
         self.inflight = 0
         self.pending_writes = deque()
         self.blocked = False   # the last pump stopped on a full queue
-        self._set_channels()
-
-    def _set_channels(self):
-        if self.phase == EVICT:
-            self.src_channel, self.dst_channel = DRAM_CHANNEL, NVM_CHANNEL
-        else:
-            self.src_channel, self.dst_channel = NVM_CHANNEL, DRAM_CHANNEL
-
-    def phase_page(self) -> int:
-        return self.victim if self.phase == EVICT else self.page
 
     def location(self, page: int, block: int) -> int:
         """Channel a demand access to `block` of `page` must be routed to now."""
-        if page == self.page:
-            if self.phase == EVICT:
-                return NVM_CHANNEL  # promotion has not started moving yet
-            state = self.block_state[block]
-            if state == IN_SRC:
-                return NVM_CHANNEL
-            if state == IN_BUFFER:
-                return BUFFER_CHANNEL
-            return DRAM_CHANNEL
-        # victim page mid-eviction
-        state = self.block_state[block]
-        if state == IN_SRC:
-            return DRAM_CHANNEL
-        if state == IN_BUFFER:
-            return BUFFER_CHANNEL
-        return NVM_CHANNEL
+        if page != self.moving:
+            return NVM_CHANNEL   # the promotion waits for its victim to move
+        return (self.src_channel, BUFFER_CHANNEL,
+                self.dst_channel)[self.block_state[block]]
 
 
 class MigrationEngine:
@@ -189,7 +179,7 @@ class MigrationEngine:
             if not self.tag.has_free_way(page):
                 victim = self.tag.lru_victim(page)
                 if victim is None:
-                    return  # every way of the set is mid-migration; retry later
+                    return  # every way is mid-migration; `_finish_move` retries
                 self.tag.remove(victim)
             self.pending.popleft()
             self.tag.reserve(page)
@@ -203,49 +193,45 @@ class MigrationEngine:
     # -- traffic pumping ------------------------------------------------------
 
     def can_progress(self) -> bool:
-        """Whether pump could move anything once a queue slot frees."""
-        if self.pending and len(self.jobs) < self.max_jobs:
-            return True
+        """Whether a job is stopped on a full queue, the only work for pump.
+
+        Every other change to a job pumps it on the spot. A pending promotion
+        waits only while every way of its set is mid-migration, and the
+        promotion that frees a way starts it (`_finish_move`).
+        """
         for job in self.jobs:
             if job.blocked:
                 return True
         return False
 
     def pump(self, cycle: int):
-        """Re-pump the jobs stopped on a full queue, after a slot freed."""
+        """Re-pump the jobs stopped on a full queue (a no-op until a slot frees)."""
         for job in self.jobs:
             if job.blocked:
                 self.pump_job(job, cycle)
-        if self.pending:
-            self.start_jobs(cycle)
 
     def pump_job(self, job: MigrationJob, cycle: int):
         # Buffered blocks head for the destination first; that frees buffer
         # space and bounds the job's footprint.
         job.blocked = False
-        if job.pending_writes:
-            page = job.phase_page()
-            while job.pending_writes:
-                req = self.sim.inject_migration(job, WRITE, page,
-                                                job.pending_writes[0],
-                                                job.dst_channel, cycle)
-                if req is None:
-                    job.blocked = True
-                    break
-                job.pending_writes.popleft()
-                self.traffic_bytes += self.sim.block_bytes
-        if job.inflight < self.inflight_blocks and job.next_read < job.blocks:
-            page = job.phase_page()
-            while (job.inflight < self.inflight_blocks
-                   and job.next_read < job.blocks):
-                req = self.sim.inject_migration(job, READ, page, job.next_read,
-                                                job.src_channel, cycle)
-                if req is None:
-                    job.blocked = True
-                    break
-                job.next_read += 1
-                job.inflight += 1
-                self.traffic_bytes += self.sim.block_bytes
+        page = job.moving
+        while job.pending_writes:
+            req = self.sim.inject_migration(job, WRITE, page, job.pending_writes[0],
+                                            job.dst_channel, cycle)
+            if req is None:
+                job.blocked = True
+                break
+            job.pending_writes.popleft()
+            self.traffic_bytes += self.sim.block_bytes
+        while job.inflight < self.inflight_blocks and job.next_read < job.blocks:
+            req = self.sim.inject_migration(job, READ, page, job.next_read,
+                                            job.src_channel, cycle)
+            if req is None:
+                job.blocked = True
+                break
+            job.next_read += 1
+            job.inflight += 1
+            self.traffic_bytes += self.sim.block_bytes
 
     def finish_block_read(self, job: MigrationJob, block: int, cycle: int):
         job.block_state[block] = IN_BUFFER
@@ -257,27 +243,20 @@ class MigrationEngine:
         job.writes_done += 1
         job.inflight -= 1
         if job.writes_done == job.blocks:
-            self._finish_phase(job, cycle)
+            self._finish_move(job, cycle)
         else:
             self.pump_job(job, cycle)
 
-    def _finish_phase(self, job: MigrationJob, cycle: int):
-        if job.phase == EVICT:
-            del self.migrating[job.victim]
+    def _finish_move(self, job: MigrationJob, cycle: int):
+        page = job.moving
+        del self.migrating[page]
+        self.sim.on_page_moved(page)
+        if page == job.victim:
             self.pages_evicted += 1
-            self.sim.on_eviction_done(job.victim, cycle)
-            job.phase = PROMOTE
-            job._set_channels()
-            job.block_state = [IN_SRC] * job.blocks
-            job.next_read = 0
-            job.writes_done = 0
-            job.inflight = 0
-            job.pending_writes.clear()
+            job.begin(job.page, NVM_CHANNEL, DRAM_CHANNEL)
             self.pump_job(job, cycle)
         else:
-            del self.migrating[job.page]
-            self.tag.finalize(job.page)
+            self.tag.finalize(page)
             self.pages_promoted += 1
             self.jobs.remove(job)
-            self.sim.on_promotion_done(job.page, cycle)
             self.start_jobs(cycle)

@@ -22,10 +22,10 @@ drain only narrows eligibility. Each of them sets the controller's
 request on another bank (`more_ready`), in which case it requests the
 phase at `cycle + 1`. An enqueue requests a phase in its own cycle when a
 controller may issue. A completion requests one when a controller may
-issue, a request is parked (the freed slot may admit it), or the
-migration engine has a job stopped on a full queue or a promotion it
-could start. Migration jobs are re-pumped only after a queue slot freed,
-because every other change to a job pumps it on the spot.
+issue, a request is parked (the freed slot may admit it), or a migration
+job is stopped on a full queue, which the phase then re-pumps
+(`MigrationEngine.pump`). No other job needs a later pump: every other
+change to a job pumps it on the spot.
 
 Page statistics -- the stat store, the MLP counters of pages with requests
 in flight to NVM, and the MLP sampling that feeds them -- model hardware
@@ -200,7 +200,6 @@ class Simulation:
         self._next_sample = (config.sampling_period if self.keeps_page_stats
                              else math.inf)
         self._parked = 0
-        self._slot_freed = False   # a queue slot freed since the last pump
 
         self._push(config.quantum_cycles, _EV_QUANTUM, None)
         for core in self.cores:
@@ -337,7 +336,6 @@ class Simulation:
     def _complete(self, req: MemRequest, cycle: int):
         if req.channel != BUFFER_CHANNEL:
             self.controllers[req.channel].on_complete(req)
-            self._slot_freed = True
         if not req.is_demand:
             job = req.mig_job
             if req.kind == READ:
@@ -364,7 +362,7 @@ class Simulation:
                 self._maybe_migrate(req.page_id, cycle)
         engine = self.engine
         if self._dram.may_issue or self._nvm.may_issue or self._parked \
-                or ((engine.jobs or engine.pending) and engine.can_progress()):
+                or (engine.jobs and engine.can_progress()):
             self._ensure_phase(cycle)
 
     def _maybe_migrate(self, page: int, cycle: int):
@@ -395,10 +393,7 @@ class Simulation:
             if not hit:
                 entry.count_miss(req.kind == WRITE)
 
-    def on_promotion_done(self, page: int, cycle: int):
-        self.store.invalidate_page(page)
-
-    def on_eviction_done(self, page: int, cycle: int):
+    def on_page_moved(self, page: int):
         self.store.invalidate_page(page)
 
     # -- periodic work --------------------------------------------------------
@@ -464,8 +459,7 @@ class Simulation:
     def _phase(self, cycle: int):
         if self._parked:
             self._retry_parked(cycle)
-        if self._slot_freed and (self.engine.jobs or self.engine.pending):
-            self._slot_freed = False   # re-pump the jobs stopped on a full queue
+        if self.engine.jobs:
             self.engine.pump(cycle)
         again = False
         for ctrl in self.controllers:

@@ -231,7 +231,7 @@ def _idle_simulation(**fields) -> Simulation:
     return Simulation(SimConfig(measured_instructions=10**9, **fields), [idle])
 
 
-# Pages 0, 1, 2 of one set of a 2-way tag store over the default DRAM.
+# Three pages of one set of a 2-way tag store over the default DRAM.
 _SETS = DeviceGeometry(512 << 20).pages // 2
 _SET_PAGES = tuple(7 + i * _SETS for i in range(3))
 
@@ -257,7 +257,6 @@ def test_job_blocked_on_full_write_buffer_is_repumped_and_finishes():
     assert any(blocked), "the job never stopped on the full write buffer"
     assert engine.pages_promoted == 1 and not engine.jobs
     assert sim.tag.resident(77)
-
 
 
 def test_demand_routing_follows_each_block_of_an_eviction_then_its_promotion():
@@ -320,6 +319,7 @@ def test_promotion_waiting_on_a_set_of_migrating_ways_starts_when_one_finishes()
     assert not engine.jobs and not engine.pending and not engine.migrating
     assert sim.tag.resident(second) and sim.tag.resident(third)
     assert engine.route(first, 0) == NVM_CHANNEL
+
 
 def test_top_pages_utility_is_the_policy_score():
     sim = Simulation(_small_config(policy="ubm"), _spread_mix(0.7)).run()
