@@ -1,10 +1,13 @@
 """Per-channel memory controller: queues, FR-FCFS scheduling, write drains.
 
-Each channel owns a read request queue and a write buffer. Scheduling
-prefers row-buffer hits, then the oldest request, one command per cycle.
-Writes are deferred and drained in batches between watermarks. Queue
-entries are held until the request completes, so occupancies bound the
-number of in-flight requests.
+Each channel owns a read request queue and a write buffer, held by request
+kind: per-bank wait lists of unissued requests (`wait[kind][bank]`), their
+count (`waiting[kind]`) and the occupancy (`occupancy[kind]`), which holds
+an entry until its request completes and so bounds the in-flight requests.
+A page fills one row buffer, so a request's row is its page and its bank is
+`page % banks`. Scheduling prefers row-buffer hits, then the oldest request,
+one command per cycle. Writes are deferred and drained in batches between
+watermarks; `eligible[WRITE]` says whether they may issue.
 
 Interference attribution follows stall-time-fair accounting: a request's
 interference delay is the time it sat ready while its bank served other
@@ -38,10 +41,10 @@ class MemRequest:
     """One memory access moving through lookup, queueing and service."""
 
     __slots__ = (
-        "id", "app_id", "page_id", "row_id", "bank_id", "kind", "is_demand",
-        "channel", "dispatch_cycle", "arrival_cycle", "issue_cycle",
-        "completion_cycle", "interference_delay", "outcome",
-        "snap_busy", "snap_opens", "mig_job", "mig_block", "done",
+        "id", "app_id", "page_id", "bank_id", "kind", "is_demand", "channel",
+        "dispatch_cycle", "arrival_cycle", "completion_cycle",
+        "interference_delay", "outcome", "snap_busy", "snap_opens", "mig_job",
+        "mig_block", "done",
     )
 
     def __init__(self, req_id: int, app_id: int, page_id: int, kind: int,
@@ -49,14 +52,12 @@ class MemRequest:
         self.id = req_id
         self.app_id = app_id
         self.page_id = page_id
-        self.row_id = page_id       # one 8 KB page occupies one row
         self.bank_id = 0
         self.kind = kind
         self.is_demand = is_demand
         self.channel = -1
         self.dispatch_cycle = -1
         self.arrival_cycle = -1
-        self.issue_cycle = -1
         self.completion_cycle = -1
         self.interference_delay = 0
         self.outcome = -1
@@ -113,24 +114,29 @@ class ChannelController:
                  config: ControllerConfig, energy: EnergyMeter, shared: bool = True):
         self.channel = channel
         self.timing = timing
-        self.geometry = geometry
         self.config = config
         self.energy = energy
         # Whether more than one application may issue here; only then is
         # there interference to attribute.
         self.shared = shared
+        self.n_banks = geometry.banks
         self.banks = [Bank(shared) for _ in range(geometry.banks)]
         self.latency = [[service_latency(timing, k, o) for o in (ROW_HIT, ROW_MISS)]
                         for k in (READ, WRITE)]   # by [kind][outcome]
         if min(min(row) for row in self.latency) < 1:
             raise ValueError(f"{timing.name}: a service latency rounds to 0 cycles")
-        self.read_wait = [[] for _ in range(geometry.banks)]
-        self.write_wait = [[] for _ in range(geometry.banks)]
-        self.read_waiting = 0     # not yet issued
-        self.write_waiting = 0
-        self.read_occupancy = 0   # waiting + in service
-        self.write_occupancy = 0
+        self.wait = [[[] for _ in range(geometry.banks)] for _ in (READ, WRITE)]
+        self.waiting = [0, 0]     # by kind: not yet issued
+        self.occupancy = [0, 0]   # by kind: waiting + in service
+        # Slots by kind: (open to migration traffic, open to demand traffic,
+        # which leaves the migration reserve free).
+        self._capacity = [(cap, cap - reserve) for cap, reserve in (
+            (config.read_queue_capacity, config.migration_reserve_reads),
+            (config.write_buffer_capacity, config.migration_reserve_writes))]
         self.draining = False
+        # Whether a request of each kind may issue: reads always, writes in
+        # a drain or with opportunistic writes.
+        self.eligible = [True, config.opportunistic_writes]
         # Set by try_issue: a request on a bank other than the last winner's
         # was ready, so the next cycle may issue too.
         self.more_ready = False
@@ -140,7 +146,6 @@ class ChannelController:
         # waiting, a drain starting. The caller clears it when try_issue
         # finds nothing more (not more_ready).
         self.may_issue = False
-        self._opportunistic = config.opportunistic_writes
         self._high = config.drain_high_watermark * config.write_buffer_capacity
         self._low = config.drain_low_watermark * config.write_buffer_capacity
         # Cumulative statistics (quantum deltas are taken by the simulator).
@@ -152,60 +157,46 @@ class ChannelController:
 
     # -- occupancy / admission ------------------------------------------------
 
-    def has_read_space(self, demand: bool = True) -> bool:
-        cap = self.config.read_queue_capacity
-        if demand:
-            cap -= self.config.migration_reserve_reads
-        return self.read_occupancy < cap
-
-    def has_write_space(self, demand: bool = True) -> bool:
-        cap = self.config.write_buffer_capacity
-        if demand:
-            cap -= self.config.migration_reserve_writes
-        return self.write_occupancy < cap
+    def has_space(self, kind: int, demand: bool = True) -> bool:
+        cap, demand_cap = self._capacity[kind]
+        return self.occupancy[kind] < (demand_cap if demand else cap)
 
     def enqueue(self, req: MemRequest, cycle: int) -> bool:
-        """Admit a request; False when the target queue is full."""
-        if req.kind == READ:
-            if not self.has_read_space(req.is_demand):
-                return False
-            self.read_occupancy += 1
-            self.read_waiting += 1
-            self.read_wait[req.bank_id].append(req)
-            eligible = True
-        else:
-            if not self.has_write_space(req.is_demand):
-                return False
-            self.write_occupancy += 1
-            self.write_waiting += 1
-            self.write_wait[req.bank_id].append(req)
-            if not self.draining and self.write_occupancy > self._high:
-                self.draining = True
-                self.may_issue = True   # the waiting writes now compete
-            eligible = self.draining or self._opportunistic
-        bank = self.banks[req.bank_id]
-        if eligible and bank.busy_until <= cycle:
+        """Admit a request onto its page's bank; False when its queue is full."""
+        kind = req.kind
+        occupancy = self.occupancy
+        cap, demand_cap = self._capacity[kind]   # has_space, inline on the hot path
+        if occupancy[kind] >= (demand_cap if req.is_demand else cap):
+            return False
+        b = req.bank_id = req.page_id % self.n_banks
+        occupancy[kind] += 1
+        self.waiting[kind] += 1
+        self.wait[kind][b].append(req)
+        if kind == WRITE and not self.draining and occupancy[WRITE] > self._high:
+            self.draining = self.eligible[WRITE] = True
+            self.may_issue = True   # the waiting writes now compete
+        bank = self.banks[b]
+        if self.eligible[kind] and bank.busy_until <= cycle:
             self.may_issue = True
         req.arrival_cycle = cycle
         app = req.app_id
         if self.shared and app != SYSTEM_APP:
             req.snap_busy = bank.busy_by_others(app, cycle)
-            if bank.open_row == req.row_id:
+            if bank.open_row == req.page_id:
                 req.snap_opens = bank.opens_by_others(app)
         return True
 
     def on_complete(self, req: MemRequest):
         """Release the queue slot; for writes this is array-restore time."""
-        if req.kind == READ:
-            self.read_occupancy -= 1
-        else:
-            self.write_occupancy -= 1
-            if self.draining and self.write_occupancy <= self._low:
-                self.draining = False
+        self.occupancy[req.kind] -= 1
+        # Only a write completion can bring the write occupancy down to it.
+        if self.draining and self.occupancy[WRITE] <= self._low:
+            self.draining = False
+            self.eligible[WRITE] = self.config.opportunistic_writes
         # The request's bank frees now (its busy span ends at completion).
         b = req.bank_id
-        if self.read_wait[b] or (self.write_wait[b]
-                                 and (self.draining or self._opportunistic)):
+        wait = self.wait
+        if wait[READ][b] or (self.eligible[WRITE] and wait[WRITE][b]):
             self.may_issue = True
 
     # -- scheduling -----------------------------------------------------------
@@ -222,7 +213,7 @@ class ChannelController:
             open_row = bank.open_row
             cand = None
             for r in q:
-                if r.row_id == open_row:
+                if r.page_id == open_row:
                     cand = r
                     break
             out.append(cand if cand is not None else q[0])
@@ -235,16 +226,11 @@ class ChannelController:
         are only considered when enabled by opportunistic_writes.
         """
         self.more_ready = False
-        if self.read_waiting == 0 and self.write_waiting == 0:
-            return None
-        reads = self._candidates(self.read_wait, cycle) if self.read_waiting else []
-        writes_compete = self.draining or self._opportunistic
-        writes = (self._candidates(self.write_wait, cycle)
-                  if writes_compete and self.write_waiting else [])
-        if self.draining:
-            pool = writes or reads
-        else:
-            pool = reads or writes
+        wait, waiting = self.wait, self.waiting
+        reads = self._candidates(wait[READ], cycle) if waiting[READ] else []
+        writes = (self._candidates(wait[WRITE], cycle)
+                  if waiting[WRITE] and self.eligible[WRITE] else [])
+        pool = (writes or reads) if self.draining else (reads or writes)
         if not pool:
             return None
         if len(pool) == 1:
@@ -253,7 +239,7 @@ class ChannelController:
             open_rows = self.banks
             winner = min(
                 pool,
-                key=lambda r: (open_rows[r.bank_id].open_row != r.row_id,
+                key=lambda r: (open_rows[r.bank_id].open_row != r.page_id,
                                r.arrival_cycle, r.id),
             )
         # Requests that were bank-ready and eligible this cycle but lost the
@@ -274,11 +260,11 @@ class ChannelController:
         return winner
 
     def _service(self, req: MemRequest, cycle: int):
-        bank = self.banks[req.bank_id]
-        outcome = classify_access(bank, req.row_id)
-        latency = self.latency[req.kind][outcome]
+        kind, b = req.kind, req.bank_id
+        bank = self.banks[b]
+        outcome = classify_access(bank, req.page_id)
+        latency = self.latency[kind][outcome]
         req.outcome = outcome
-        req.issue_cycle = cycle
         req.completion_cycle = cycle + latency
         self.queue_wait_cycles += cycle - req.arrival_cycle
 
@@ -291,15 +277,13 @@ class ChannelController:
             # Row-locality change: req arrived with its row open but another
             # application's activation closed it before service.
             if outcome == ROW_MISS and 0 <= req.snap_opens < bank.opens_by_others(app):
-                req.interference_delay += latency - self.latency[req.kind][ROW_HIT]
+                req.interference_delay += latency - self.latency[kind][ROW_HIT]
 
-        if req.kind == READ:
-            self.read_wait[req.bank_id].remove(req)
-            self.read_waiting -= 1
+        self.wait[kind][b].remove(req)
+        self.waiting[kind] -= 1
+        if kind == READ:
             self.issued_reads += 1
         else:
-            self.write_wait[req.bank_id].remove(req)
-            self.write_waiting -= 1
             self.issued_writes += 1
         if outcome == ROW_HIT:
             self.row_hits += 1
@@ -307,8 +291,8 @@ class ChannelController:
             self.row_misses += 1
         bank.occupy(app, cycle, latency)
         if outcome == ROW_MISS:
-            bank.open_for(req.row_id, app)
-        self.energy.account(BLOCK_BITS, req.kind, outcome)
+            bank.open_for(req.page_id, app)
+        self.energy.account(BLOCK_BITS, kind, outcome)
 
     def stats_snapshot(self) -> dict:
         issued = self.issued_reads + self.issued_writes

@@ -66,19 +66,19 @@ class DevTiming:
 
 @dataclass(frozen=True)
 class DeviceGeometry:
-    """Physical organization of one device (single channel)."""
+    """Physical organization of one device (single channel).
+
+    A page fills one row buffer, so the device's rows are its pages.
+    """
 
     capacity_bytes: int
     banks: int = 8
-    row_buffer_bytes: int = 8192
     page_bytes: int = 8192
 
     def __post_init__(self):
         if self.capacity_bytes <= 0 or self.banks <= 0:
             raise ValueError("geometry fields must be positive")
-        if self.row_buffer_bytes % self.page_bytes != 0:
-            raise ValueError("page size must divide row size or equal it")
-        if self.capacity_bytes % (self.banks * self.row_buffer_bytes) != 0:
+        if self.capacity_bytes % (self.banks * self.page_bytes) != 0:
             raise ValueError("capacity must be a whole number of rows")
 
     @property

@@ -170,18 +170,19 @@ class MigrationEngine:
         return True
 
     def start_jobs(self, cycle: int):
-        while self.pending and len(self.jobs) < self.max_jobs:
-            page = self.pending[0]
-            if page in self.migrating or self.tag.resident(page):
-                self.pending.popleft()
-                continue
+        # A promotion whose set has every way mid-migration stays pending and
+        # lets those behind it start; the promotion that frees a way retries.
+        i = 0
+        while i < len(self.pending) and len(self.jobs) < self.max_jobs:
+            page = self.pending[i]
             victim = None
             if not self.tag.has_free_way(page):
                 victim = self.tag.lru_victim(page)
                 if victim is None:
-                    return  # every way is mid-migration; `_finish_move` retries
+                    i += 1
+                    continue
                 self.tag.remove(victim)
-            self.pending.popleft()
+            del self.pending[i]
             self.tag.reserve(page)
             job = MigrationJob(page, victim, self.blocks_per_page)
             self.jobs.append(job)

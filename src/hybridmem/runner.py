@@ -2,8 +2,8 @@
 
 A run simulates the full workload mix, then re-simulates every trace in
 isolation (same configuration and policy) to obtain alone-run IPCs for the
-speedup metrics. Alone runs are cached by (trace digest, config hash,
-policy) so sweeps do not recompute them.
+speedup metrics. Alone runs are cached by trace digest and config hash,
+which covers the policy, so sweeps do not recompute them.
 
 `ExperimentConfig` declares the experiment's own fields (traces, device
 sizes and presets, latency multipliers, queue capacities) and inherits the
@@ -54,12 +54,8 @@ class ExperimentConfig(RunSettings):
         return SimConfig(
             dram_timing=load_timing(self.dram_preset),
             nvm_timing=nvm_timing,
-            dram_geometry=DeviceGeometry(self.dram_bytes,
-                                         page_bytes=self.page_bytes,
-                                         row_buffer_bytes=self.page_bytes),
-            nvm_geometry=DeviceGeometry(self.nvm_bytes,
-                                        page_bytes=self.page_bytes,
-                                        row_buffer_bytes=self.page_bytes),
+            dram_geometry=DeviceGeometry(self.dram_bytes, page_bytes=self.page_bytes),
+            nvm_geometry=DeviceGeometry(self.nvm_bytes, page_bytes=self.page_bytes),
             controller=ControllerConfig(read_queue_capacity=self.read_queue,
                                         write_buffer_capacity=self.write_buffer),
             **shared,
@@ -191,7 +187,7 @@ def alone_ipc(config: ExperimentConfig, trace: Trace,
     alone_cfg = replace(config, traces=())
     if cache is None:
         return _alone(alone_cfg, trace)
-    key = (trace.digest(), config_hash(alone_cfg.resolved()), config.policy)
+    key = (trace.digest(), config_hash(alone_cfg.resolved()))
     if key not in cache:
         cache[key] = _alone(alone_cfg, trace)
     return cache[key]

@@ -172,8 +172,7 @@ class Simulation:
             for i, tr in enumerate(traces)
         ]
         n = len(self.cores)
-        self.n_read_out = [0] * n
-        self.n_write_out = [0] * n
+        self.outstanding = [[0] * n, [0] * n]   # by [kind][app]
         self._delay_anchor = [None] * n
         self.t_delay = [0] * n
         self.t_interference = [0] * n    # sum of per-request blocked shares
@@ -241,13 +240,10 @@ class Simulation:
         req.mig_block = (addr % self.page_bytes) // self.block_bytes
         req.dispatch_cycle = cycle
         app = core.app_id
-        before = self.n_read_out[app] + self.n_write_out[app]
-        if kind == READ:
-            self.n_read_out[app] += 1
-        else:
-            self.n_write_out[app] += 1
-        if before == 0:
+        out = self.outstanding
+        if out[READ][app] + out[WRITE][app] == 0:
             self._delay_anchor[app] = cycle
+        out[kind][app] += 1
         self._push(cycle + LOOKUP_CYCLES, _EV_INJECT, req)
         return req
 
@@ -270,12 +266,10 @@ class Simulation:
         req.channel = channel
         if channel == BUFFER_CHANNEL:
             req.arrival_cycle = cycle
-            req.issue_cycle = cycle
             req.completion_cycle = cycle + BUFFER_SERVICE_CYCLES
             self._push(req.completion_cycle, _EV_COMPLETE, req)
             return True
         ctrl = self.controllers[channel]
-        req.bank_id = req.page_id % ctrl.geometry.banks
         if not ctrl.enqueue(req, cycle):
             return False
         if req.is_demand:
@@ -316,17 +310,13 @@ class Simulation:
     def inject_migration(self, job, kind: int, page: int, block: int,
                          channel: int, cycle: int):
         ctrl = self.controllers[channel]
-        if kind == READ:
-            if not ctrl.has_read_space(demand=False):
-                return None
-        elif not ctrl.has_write_space(demand=False):
+        if not ctrl.has_space(kind, demand=False):
             return None
         self._next_req_id += 1
         req = MemRequest(self._next_req_id, SYSTEM_APP, page, kind, is_demand=False)
         req.mig_job = job
         req.mig_block = block
         req.channel = channel
-        req.bank_id = page % ctrl.geometry.banks
         req.dispatch_cycle = cycle
         ctrl.enqueue(req, cycle)
         if self._dram.may_issue or self._nvm.may_issue:
@@ -344,13 +334,11 @@ class Simulation:
                 self.engine.finish_block_write(job, req.mig_block, cycle)
         else:
             app = req.app_id
+            out = self.outstanding
+            out[req.kind][app] -= 1
             if req.kind == READ:
-                self.n_read_out[app] -= 1
                 self.cores[app].on_read_complete(req, cycle)
-            else:
-                req.done = True
-                self.n_write_out[app] -= 1
-            if self.n_read_out[app] + self.n_write_out[app] == 0:
+            if out[READ][app] + out[WRITE][app] == 0:
                 self._settle_delay(app, cycle)
                 self._delay_anchor[app] = None
             self.t_interference[app] += req.interference_delay
@@ -407,7 +395,7 @@ class Simulation:
         ticks = (up_to - 1 - first) // period + 1
         self._next_sample = first + ticks * period
         if self.hot.entries:
-            self.hot.sample(self.n_read_out, self.n_write_out, count=ticks)
+            self.hot.sample(*self.outstanding, count=ticks)
 
     def _settle_delay(self, app: int, cycle: int):
         """Close the app's open memory-busy span at `cycle` into T_delay."""

@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hybridmem.controller import (
     ChannelController, ControllerConfig, MemRequest, NVM_CHANNEL, SYSTEM_APP,
@@ -20,9 +21,7 @@ def make_controller(**cfg):
 
 
 def req(req_id, page, kind=READ, app=0, demand=True):
-    r = MemRequest(req_id, app, page, kind, is_demand=demand)
-    r.bank_id = page % GEO.banks
-    return r
+    return MemRequest(req_id, app, page, kind, is_demand=demand)
 
 
 def test_fr_fcfs_prefers_row_hit_over_older_miss():
@@ -75,7 +74,7 @@ def test_completion_frees_queue_slot():
     mig = req(3, 2, demand=False)
     assert c.enqueue(mig, 0)         # reserve slot admits migration traffic
     c.try_issue(0)
-    assert not c.has_read_space()
+    assert not c.has_space(READ)
     c.on_complete(a)
     c.on_complete(mig)
     assert c.enqueue(b, a.completion_cycle)
@@ -100,7 +99,7 @@ def test_full_buffer_forces_drain_and_low_watermark_exits():
     assert c.draining
     # Draining prefers writes; completions below the low watermark stop it.
     t = 0
-    while c.write_occupancy > 2:
+    while c.occupancy[WRITE] > 2:
         w = c.try_issue(t)
         if w is None:
             t += 1
@@ -205,12 +204,12 @@ def test_row_conversion_penalty():
     # Make the bank busy with the closer first despite FR-FCFS by issuing
     # at a cycle where only the closer is eligible: simulate by directly
     # servicing the closer.
-    c3.read_wait[0].remove(victim)
-    c3.read_waiting -= 1
+    c3.wait[READ][0].remove(victim)
+    c3.waiting[READ] -= 1
     w = c3.try_issue(0)
     assert w is closer
-    c3.read_wait[0].append(victim)
-    c3.read_waiting += 1
+    c3.wait[READ][0].append(victim)
+    c3.waiting[READ] += 1
     w2 = c3.try_issue(closer.completion_cycle)
     assert w2 is victim
     assert victim.outcome == ROW_MISS
@@ -316,3 +315,49 @@ def test_write_buffer_too_small_to_start_a_drain_is_rejected():
         ControllerConfig(write_buffer_capacity=8)
     ControllerConfig(write_buffer_capacity=9)
     ControllerConfig(write_buffer_capacity=8, migration_reserve_writes=1)
+
+
+# A controller run is a list of steps: enqueue a request (page, kind, whether
+# it is demand traffic, and its application if so), try to issue at the
+# current cycle, or complete the request in service that finishes first,
+# which moves the clock to its completion.
+_ENQUEUE, _ISSUE, _COMPLETE = range(3)
+_steps = st.lists(st.one_of(
+    st.tuples(st.just(_ENQUEUE), st.integers(0, 40), st.sampled_from([READ, WRITE]),
+              st.booleans(), st.sampled_from([0, 1])),
+    st.tuples(st.just(_ISSUE)),
+    st.tuples(st.just(_COMPLETE))), max_size=150)
+
+
+@given(steps=_steps, opportunistic=st.booleans())
+def test_queue_state_by_kind_matches_the_requests_it_holds(steps, opportunistic):
+    capacity = {READ: (6, 2), WRITE: (8, 1)}   # (capacity, migration reserve)
+    c = make_controller(read_queue_capacity=6, migration_reserve_reads=2,
+                        write_buffer_capacity=8, migration_reserve_writes=1,
+                        opportunistic_writes=opportunistic)
+    in_service = []
+    cycle = 0
+    for i, step in enumerate(steps):
+        if step[0] == _ENQUEUE:
+            _, page, kind, demand, app = step
+            r = req(i, page, kind, app if demand else SYSTEM_APP, demand)
+            space = c.has_space(kind, demand)
+            assert c.enqueue(r, cycle) == space
+        elif step[0] == _ISSUE:
+            r = c.try_issue(cycle)
+            if r is not None:
+                in_service.append(r)
+        elif in_service:
+            r = min(in_service, key=lambda r: (r.completion_cycle, r.id))
+            in_service.remove(r)
+            cycle = max(cycle, r.completion_cycle)
+            c.on_complete(r)
+        for kind in (READ, WRITE):
+            held = [(b, r) for b, q in enumerate(c.wait[kind]) for r in q]
+            assert c.waiting[kind] == len(held)
+            assert c.occupancy[kind] == len(held) + sum(r.kind == kind
+                                                        for r in in_service)
+            assert all(r.bank_id == b == r.page_id % GEO.banks for b, r in held)
+            cap, reserve = capacity[kind]
+            assert c.has_space(kind, demand=False) == (c.occupancy[kind] < cap)
+            assert c.has_space(kind) == (c.occupancy[kind] < cap - reserve)

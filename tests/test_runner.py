@@ -275,3 +275,19 @@ def test_no_imports_inside_functions(module):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not offenders, f"import inside a function body: {offenders}"
+
+
+def test_every_slot_is_read():
+    # A `__slots__` field that nothing loads is state the model never uses.
+    slots, loads = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+                for elt in node.value.elts:
+                    slots[elt.value] = f"{path.name}:{elt.lineno}"
+    unread = sorted(f"{name} ({where})" for name, where in slots.items()
+                    if name not in loads)
+    assert not unread, f"__slots__ fields never read: {unread}"

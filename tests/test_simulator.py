@@ -321,6 +321,17 @@ def test_promotion_waiting_on_a_set_of_migrating_ways_starts_when_one_finishes()
     assert engine.route(first, 0) == NVM_CHANNEL
 
 
+def test_a_promotion_waiting_on_its_set_does_not_hold_back_the_next():
+    # The third page of the set waits, both ways mid-migration; page 8's set
+    # has free ways and two job slots are idle, so its promotion starts.
+    sim = _idle_simulation(tag_associativity=2)
+    engine = sim.engine
+    for p in _SET_PAGES + (8,):
+        assert engine.request_promotion(p, cycle=0)
+    assert sorted(job.page for job in engine.jobs) == sorted(_SET_PAGES[:2] + (8,))
+    assert list(engine.pending) == [_SET_PAGES[2]]
+
+
 def test_top_pages_utility_is_the_policy_score():
     sim = Simulation(_small_config(policy="ubm"), _spread_mix(0.7)).run()
     rows = [r for r in sim.top_pages(50)
