@@ -2,7 +2,7 @@
 
 from .device import (
     DRAM_BASELINE, NVM_BASELINE, Bank, DevTiming, DeviceGeometry, EnergyMeter,
-    READ, WRITE, ROW_HIT, ROW_MISS, classify_access, load_timing,
+    READ, WRITE, ROW_HIT, ROW_MISS, load_timing,
     read_miss_latency, service_latency, write_miss_latency,
 )
 from .controller import ChannelController, ControllerConfig, MemRequest, SYSTEM_APP

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 from .device import (
     Bank, DevTiming, DeviceGeometry, EnergyMeter,
-    READ, ROW_HIT, ROW_MISS, SYSTEM_APP, WRITE,
-    classify_access, service_latency,
+    READ, ROW_HIT, ROW_MISS, SYSTEM_APP, WRITE, service_latency,
 )
 from .device import BUFFER_CHANNEL, DRAM_CHANNEL, NVM_CHANNEL  # noqa: F401  re-exported
 
@@ -108,12 +107,14 @@ class ControllerConfig:
 
 
 class ChannelController:
-    """FR-FCFS controller for one device channel."""
+    """FR-FCFS controller for one device channel.
 
-    def __init__(self, channel: int, timing: DevTiming, geometry: DeviceGeometry,
+    `bench/spans.py` times `enqueue`, `try_issue` and `on_complete` by
+    replacing them on this class, so each must stay a method defined here.
+    """
+
+    def __init__(self, timing: DevTiming, geometry: DeviceGeometry,
                  config: ControllerConfig, energy: EnergyMeter, shared: bool = True):
-        self.channel = channel
-        self.timing = timing
         self.config = config
         self.energy = energy
         # Whether more than one application may issue here; only then is
@@ -125,12 +126,17 @@ class ChannelController:
                         for k in (READ, WRITE)]   # by [kind][outcome]
         if min(min(row) for row in self.latency) < 1:
             raise ValueError(f"{timing.name}: a service latency rounds to 0 cycles")
+        # Dynamic energy of one block, by [kind][outcome]; the same float
+        # expression as EnergyMeter.access_pj, so the sums do not move.
+        self.energy_pj = [[energy.access_pj(BLOCK_BITS, k, o)
+                           for o in (ROW_HIT, ROW_MISS)] for k in (READ, WRITE)]
         self.wait = [[[] for _ in range(geometry.banks)] for _ in (READ, WRITE)]
         self.waiting = [0, 0]     # by kind: not yet issued
         self.occupancy = [0, 0]   # by kind: waiting + in service
-        # Slots by kind: (open to migration traffic, open to demand traffic,
-        # which leaves the migration reserve free).
-        self._capacity = [(cap, cap - reserve) for cap, reserve in (
+        # Slots by [kind][is_demand]: migration traffic may fill them all,
+        # demand traffic leaves the migration reserve free. A request is
+        # admitted while occupancy[kind] is below its entry.
+        self.capacity = [(cap, cap - reserve) for cap, reserve in (
             (config.read_queue_capacity, config.migration_reserve_reads),
             (config.write_buffer_capacity, config.migration_reserve_writes))]
         self.draining = False
@@ -155,18 +161,13 @@ class ChannelController:
         self.row_misses = 0
         self.queue_wait_cycles = 0
 
-    # -- occupancy / admission ------------------------------------------------
-
-    def has_space(self, kind: int, demand: bool = True) -> bool:
-        cap, demand_cap = self._capacity[kind]
-        return self.occupancy[kind] < (demand_cap if demand else cap)
+    # -- admission ------------------------------------------------------------
 
     def enqueue(self, req: MemRequest, cycle: int) -> bool:
         """Admit a request onto its page's bank; False when its queue is full."""
         kind = req.kind
         occupancy = self.occupancy
-        cap, demand_cap = self._capacity[kind]   # has_space, inline on the hot path
-        if occupancy[kind] >= (demand_cap if req.is_demand else cap):
+        if occupancy[kind] >= self.capacity[kind][req.is_demand]:
             return False
         b = req.bank_id = req.page_id % self.n_banks
         occupancy[kind] += 1
@@ -202,21 +203,17 @@ class ChannelController:
     # -- scheduling -----------------------------------------------------------
 
     def _candidates(self, wait_lists, cycle: int):
+        """Each free bank's first row hit, or else its oldest request."""
         out = []
-        banks = self.banks
-        for b, q in enumerate(wait_lists):
-            if not q:
-                continue
-            bank = banks[b]
-            if bank.busy_until > cycle:
-                continue
-            open_row = bank.open_row
-            cand = None
-            for r in q:
-                if r.page_id == open_row:
-                    cand = r
-                    break
-            out.append(cand if cand is not None else q[0])
+        for bank, q in zip(self.banks, wait_lists):
+            if q and bank.busy_until <= cycle:
+                open_row = bank.open_row
+                for r in q:
+                    if r.page_id == open_row:
+                        out.append(r)
+                        break
+                else:
+                    out.append(q[0])
         return out
 
     def try_issue(self, cycle: int):
@@ -233,15 +230,20 @@ class ChannelController:
         pool = (writes or reads) if self.draining else (reads or writes)
         if not pool:
             return None
-        if len(pool) == 1:
-            winner = pool[0]
-        else:
-            open_rows = self.banks
-            winner = min(
-                pool,
-                key=lambda r: (open_rows[r.bank_id].open_row != r.page_id,
-                               r.arrival_cycle, r.id),
-            )
+        winner = pool[0]
+        if len(pool) > 1:
+            # FR-FCFS: a row hit first, then the earliest arrival, then the
+            # lowest id.
+            banks = self.banks
+            w_hit = banks[winner.bank_id].open_row == winner.page_id
+            for r in pool[1:]:
+                hit = banks[r.bank_id].open_row == r.page_id
+                if hit != w_hit:
+                    if hit:
+                        winner, w_hit = r, True
+                elif r.arrival_cycle < winner.arrival_cycle or (
+                        r.arrival_cycle == winner.arrival_cycle and r.id < winner.id):
+                    winner = r
         # Requests that were bank-ready and eligible this cycle but lost the
         # command slot to a different application accrue one blocked cycle.
         w_app = winner.app_id
@@ -262,7 +264,7 @@ class ChannelController:
     def _service(self, req: MemRequest, cycle: int):
         kind, b = req.kind, req.bank_id
         bank = self.banks[b]
-        outcome = classify_access(bank, req.page_id)
+        outcome = ROW_HIT if bank.open_row == req.page_id else ROW_MISS
         latency = self.latency[kind][outcome]
         req.outcome = outcome
         req.completion_cycle = cycle + latency
@@ -292,7 +294,7 @@ class ChannelController:
         bank.occupy(app, cycle, latency)
         if outcome == ROW_MISS:
             bank.open_for(req.page_id, app)
-        self.energy.account(BLOCK_BITS, kind, outcome)
+        self.energy.dynamic_pj += self.energy_pj[kind][outcome]
 
     def stats_snapshot(self) -> dict:
         issued = self.issued_reads + self.issued_writes

@@ -29,6 +29,8 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 class AppCore:
+    # `bench/spans.py` times `run_to`, `advance` and `on_read_complete` by
+    # replacing them on this class, so each must stay a method defined here.
     RETIRE_WIDTH = 3
 
     def __init__(self, sim, app_id: int, trace, rob_capacity: int,

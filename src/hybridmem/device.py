@@ -154,11 +154,6 @@ class Bank:
             self.opens_by_app[app_id] = self.opens_by_app.get(app_id, 0) + 1
 
 
-def classify_access(bank: Bank, row: int) -> int:
-    """ROW_HIT iff the bank's open row equals `row`; closed row is a miss."""
-    return ROW_HIT if bank.open_row == row else ROW_MISS
-
-
 def service_latency(timing: DevTiming, kind: int, outcome: int) -> int:
     """Bank occupancy in cycles for one request.
 
@@ -188,8 +183,9 @@ class EnergyMeter:
 
     Dynamic energy is charged per request over the transferred bits: a row
     miss pays array plus row-buffer energy per bit, a hit pays row-buffer
-    energy only. Standby energy is integrated over elapsed simulated time at
-    report time.
+    energy only. A controller looks up `access_pj` once per (kind, outcome)
+    and adds the entry to `dynamic_pj` at each issue. Standby energy is
+    integrated over elapsed simulated time at report time.
     """
 
     __slots__ = ("timing", "geometry", "dynamic_pj")
@@ -199,7 +195,8 @@ class EnergyMeter:
         self.geometry = geometry
         self.dynamic_pj = 0.0
 
-    def account(self, bits: int, kind: int, outcome: int):
+    def access_pj(self, bits: int, kind: int, outcome: int) -> float:
+        """Dynamic energy of one access that moves `bits` bits."""
         t = self.timing
         if kind == READ:
             pj_bit = t.rb_read_pj_bit
@@ -209,7 +206,7 @@ class EnergyMeter:
             pj_bit = t.rb_write_pj_bit
             if outcome == ROW_MISS:
                 pj_bit += t.array_write_pj_bit
-        self.dynamic_pj += bits * pj_bit
+        return bits * pj_bit
 
     def standby_joules(self, elapsed_cycles: int) -> float:
         seconds = elapsed_cycles * self.timing.clock_period_ns * 1e-9

@@ -118,7 +118,13 @@ class MigrationJob:
         self.blocked = False   # the last pump stopped on a full queue
 
     def location(self, page: int, block: int) -> int:
-        """Channel a demand access to `block` of `page` must be routed to now."""
+        """Channel a demand access to `block` of `page` must be routed to now.
+
+        `bench/spans.py` counts demand requests served from the migration
+        buffer through the results of this call, even in its untraced run,
+        so every demand access to a migrating page must go through it: a
+        copy inlined elsewhere would drop them from `requests_per_s`.
+        """
         if page != self.moving:
             return NVM_CHANNEL   # the promotion waits for its victim to move
         return (self.src_channel, BUFFER_CHANNEL,
@@ -126,7 +132,12 @@ class MigrationJob:
 
 
 class MigrationEngine:
-    """Bounded-concurrency executor for page migrations."""
+    """Bounded-concurrency executor for page migrations.
+
+    `bench/spans.py` times `pump`, `request_promotion`, `finish_block_read`
+    and `finish_block_write` by replacing them on this class, so each must
+    stay a method defined here.
+    """
 
     def __init__(self, sim, tag: TagStore, blocks_per_page: int,
                  inflight_blocks: int, max_jobs: int = 4,
@@ -150,6 +161,7 @@ class MigrationEngine:
     def route(self, page_id: int, block: int) -> int:
         """Channel a demand access to `block` of `page_id` goes to now."""
         job = self.migrating.get(page_id)
+        # Keep the call (see `MigrationJob.location`).
         if job is not None:
             return job.location(page_id, block)
         return DRAM_CHANNEL if self.tag.resident(page_id) else NVM_CHANNEL

@@ -29,6 +29,8 @@ class PolicyDecision(NamedTuple):
 
 
 class PlacementPolicy:
+    # `bench/spans.py` times `decide` on this class and on each subclass
+    # that defines its own, by replacing it there; keep it a method.
     name = "base"
     uses_threshold = True
     uses_page_stats = True

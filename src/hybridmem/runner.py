@@ -183,7 +183,11 @@ def _ipc(core, win: dict) -> float:
 
 def alone_ipc(config: ExperimentConfig, trace: Trace,
               cache: dict | None = None) -> float:
-    """IPC of one trace run in isolation under the same config and policy."""
+    """IPC of one trace run in isolation under the same config and policy.
+
+    `bench/spans.py` times this by replacing it in the module, so it must
+    stay a module-level function that `run` calls by its global name.
+    """
     alone_cfg = replace(config, traces=())
     if cache is None:
         return _alone(alone_cfg, trace)

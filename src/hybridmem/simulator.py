@@ -27,6 +27,15 @@ job is stopped on a full queue, which the phase then re-pumps
 (`MigrationEngine.pump`). No other job needs a later pump: every other
 change to a job pumps it on the spot.
 
+A phase requested for the cycle the loop is working through is not a heap
+event: `_ensure_phase` sets the `_phase_due` flag, and the loop runs the
+phase, clearing the flag, after that cycle's completion, injection and core
+events and before its quantum event. Only a phase for a later cycle (the
+`cycle + 1` one) goes on the heap, as an `_EV_PHASE` event, and so does one
+requested before `run()` starts, which `run()` pushes at its cycle. The
+phases run in the order that `_EV_PHASE` heap events would give them,
+without their push and pop.
+
 Page statistics -- the stat store, the MLP counters of pages with requests
 in flight to NVM, and the MLP sampling that feeds them -- model hardware
 that only a scoring policy needs, so a run keeps them only when migration
@@ -123,7 +132,26 @@ class SimConfig(RunSettings):
 
 
 class Simulation:
-    """One deterministic simulation instance over a fixed set of traces."""
+    """One deterministic simulation instance over a fixed set of traces.
+
+    The instance has slots and no `__dict__`: with more than 30 attributes
+    in a dict, CPython 3.11 loads each through a dict lookup on the hot
+    path. `bench/spans.py` times `__init__`, `run`, `dispatch` and
+    `inject_migration` by replacing them on this class, so each must stay a
+    method defined here.
+    """
+
+    __slots__ = (
+        "config", "page_bytes", "block_bytes", "blocks_per_page", "cycle",
+        "_heap", "_seq", "finished", "dram_energy", "nvm_energy", "_dram",
+        "_nvm", "controllers", "tag", "engine", "policy", "keeps_page_stats",
+        "store", "hot", "threshold", "latency_gaps", "cores", "outstanding",
+        "_delay_anchor", "t_delay", "t_interference", "t_outstanding",
+        "app_reads", "app_writes", "app_row_hits", "app_row_misses",
+        "_sensitivity", "_quantum_snaps", "_marker_snaps", "_done_count",
+        "page_stall", "quantum_log", "quantum_index", "_next_req_id",
+        "_phase_cycle", "_phase_due", "_next_sample", "_parked",
+    )
 
     def __init__(self, config: SimConfig, traces):
         config.validate()
@@ -141,12 +169,10 @@ class Simulation:
         self.nvm_energy = EnergyMeter(config.nvm_timing, config.nvm_geometry)
         # With one application there is no interference to attribute.
         shared = len(traces) > 1
-        self._dram = ChannelController(DRAM_CHANNEL, config.dram_timing,
-                                       config.dram_geometry, config.controller,
-                                       self.dram_energy, shared)
-        self._nvm = ChannelController(NVM_CHANNEL, config.nvm_timing,
-                                      config.nvm_geometry, config.controller,
-                                      self.nvm_energy, shared)
+        self._dram = ChannelController(config.dram_timing, config.dram_geometry,
+                                       config.controller, self.dram_energy, shared)
+        self._nvm = ChannelController(config.nvm_timing, config.nvm_geometry,
+                                      config.controller, self.nvm_energy, shared)
         self.controllers = [self._dram, self._nvm]
         self.tag = TagStore(config.dram_geometry.pages, config.tag_associativity)
         self.engine = MigrationEngine(self, self.tag, self.blocks_per_page,
@@ -195,7 +221,8 @@ class Simulation:
         self.quantum_index = 0
 
         self._next_req_id = 0
-        self._phase_cycle = -1
+        self._phase_cycle = -1    # the latest cycle a phase was requested for
+        self._phase_due = False   # a phase is due in the loop's current cycle
         self._next_sample = (config.sampling_period if self.keeps_page_stats
                              else math.inf)
         self._parked = 0
@@ -223,9 +250,15 @@ class Simulation:
         self._push(cycle, _EV_CORE, core)
 
     def _ensure_phase(self, cycle: int):
+        """Request one service phase at `cycle`, the current or a later one."""
         if self._phase_cycle != cycle:
             self._phase_cycle = cycle
-            self._push(cycle, _EV_PHASE, None)
+            if cycle == self.cycle:
+                # The loop runs it before leaving this cycle (see `run`); a
+                # request before `run()` starts is pushed when it starts.
+                self._phase_due = True
+            else:
+                self._push(cycle, _EV_PHASE, None)
 
     # -- scoring interface for the policy ------------------------------------
 
@@ -310,8 +343,8 @@ class Simulation:
     def inject_migration(self, job, kind: int, page: int, block: int,
                          channel: int, cycle: int):
         ctrl = self.controllers[channel]
-        if not ctrl.has_space(kind, demand=False):
-            return None
+        if ctrl.occupancy[kind] >= ctrl.capacity[kind][False]:
+            return None   # the queue is full even to migration traffic
         self._next_req_id += 1
         req = MemRequest(self._next_req_id, SYSTEM_APP, page, kind, is_demand=False)
         req.mig_job = job
@@ -467,7 +500,11 @@ class Simulation:
 
     def run(self):
         heap = self._heap
+        heappop = heapq.heappop
         max_cycles = self.config.max_cycles
+        if self._phase_due:   # requested before the loop started
+            self._phase_due = False
+            self._push(self.cycle, _EV_PHASE, None)
         while heap and not self.finished:
             t = heap[0][0]
             if max_cycles is not None and t > max_cycles:
@@ -475,20 +512,32 @@ class Simulation:
             if t > self._next_sample:
                 self._catch_up_samples(t)
             self.cycle = t
-            while heap and heap[0][0] == t:
-                _, prio, _, payload = heapq.heappop(heap)
-                if prio == _EV_COMPLETE:
-                    self._complete(payload, t)
-                elif prio == _EV_INJECT:
-                    self._arrive(payload, t)
-                elif prio == _EV_CORE:
-                    if payload.next_wake is not None and payload.next_wake <= t:
-                        payload.next_wake = None
-                    payload.run_to(t)
-                elif prio == _EV_PHASE:
-                    self._phase(t)
-                else:
-                    self._end_quantum(t)
+            while True:
+                # The cycle's events in (priority, push) order, with a phase
+                # due by flag run ahead of its first _EV_PHASE-or-later event.
+                if heap:
+                    top = heap[0]
+                    if top[0] == t and (top[1] < _EV_PHASE or not self._phase_due):
+                        _, prio, _, payload = heappop(heap)
+                        if prio == _EV_COMPLETE:
+                            self._complete(payload, t)
+                        elif prio == _EV_INJECT:
+                            self._arrive(payload, t)
+                        elif prio == _EV_CORE:
+                            if payload.next_wake is not None and payload.next_wake <= t:
+                                payload.next_wake = None
+                            payload.run_to(t)
+                        elif prio == _EV_PHASE:
+                            self._phase(t)
+                        else:
+                            self._end_quantum(t)
+                        if self.finished:
+                            break
+                        continue
+                if not self._phase_due:
+                    break
+                self._phase_due = False
+                self._phase(t)
                 if self.finished:
                     break
         self._catch_up_samples(self.cycle + 1)

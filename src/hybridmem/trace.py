@@ -137,6 +137,9 @@ class Trace:
     def from_file(cls, path) -> "Trace":
         """Load a `.hmt` or `.hmtx` trace; its magic line picks the format.
 
+        `bench/spans.py` times this by replacing it on the class, so it
+        must stay a classmethod defined here.
+
         Raises MalformedRecord with the byte offset of the first bad record
         and UnsupportedVersion for unknown magics.
         """

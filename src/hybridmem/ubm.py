@@ -132,7 +132,8 @@ class StatStore:
     for a shared page lands in the same set. LRU replacement within each
     set. A page index lists each page's entries in the order they hold in
     their set, so looking up or dropping a page's entries needs no scan of
-    the set.
+    the set. `bench/spans.py` times `get_or_alloc` and `entries_for_page` by
+    replacing them on this class, so each must stay a method defined here.
     """
 
     def __init__(self, sets: int = 64, ways: int = 32):
@@ -196,7 +197,9 @@ class HotPageCounters:
 
     An entry exists exactly while its page has outstanding NVM requests;
     when the last one completes the accumulated samples fold into the stat
-    store and the entry disappears.
+    store and the entry disappears. `bench/spans.py` times `sample`,
+    `on_inject` and `on_complete` by replacing them on this class, so each
+    must stay a method defined here.
     """
 
     __slots__ = ("entries",)

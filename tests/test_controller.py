@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hybridmem.controller import (
-    ChannelController, ControllerConfig, MemRequest, NVM_CHANNEL, SYSTEM_APP,
+    BLOCK_BITS, ChannelController, ControllerConfig, MemRequest, SYSTEM_APP,
 )
 from hybridmem.device import (
     DeviceGeometry, NVM_BASELINE, READ, WRITE, ROW_HIT, ROW_MISS, EnergyMeter,
@@ -17,11 +17,62 @@ GEO = DeviceGeometry(64 << 20)
 def make_controller(**cfg):
     config = ControllerConfig(**cfg)
     energy = EnergyMeter(NVM_BASELINE, GEO)
-    return ChannelController(NVM_CHANNEL, NVM_BASELINE, GEO, config, energy)
+    return ChannelController(NVM_BASELINE, GEO, config, energy)
 
 
 def req(req_id, page, kind=READ, app=0, demand=True):
     return MemRequest(req_id, app, page, kind, is_demand=demand)
+
+
+def _served(c, r, cycle=0):
+    assert c.enqueue(r, cycle)
+    assert c.try_issue(cycle) is r
+    return r
+
+
+def test_request_to_the_open_row_is_a_hit():
+    c = make_controller()
+    c.banks[7].open_for(7, app_id=0)    # page 7 maps to bank 7
+    assert _served(c, req(1, 7)).outcome == ROW_HIT
+
+
+def test_request_to_another_row_is_a_miss():
+    c = make_controller()
+    c.banks[7].open_for(7, app_id=0)
+    assert _served(c, req(1, 15)).outcome == ROW_MISS   # bank 7, row 15
+
+
+def test_request_to_a_closed_bank_is_a_miss():
+    c = make_controller()
+    assert c.banks[7].open_row is None
+    assert _served(c, req(1, 7)).outcome == ROW_MISS
+
+
+def test_same_row_back_to_back_hits():
+    c = make_controller()
+    first = _served(c, req(1, 12))
+    assert first.outcome == ROW_MISS
+    second = _served(c, req(2, 12), first.completion_cycle)
+    assert second.outcome == ROW_HIT
+    assert _served(c, req(3, 12), second.completion_cycle).outcome == ROW_HIT
+
+
+def test_issued_blocks_add_their_access_energy_in_any_order():
+    # The controller charges each block the meter's own per-access energy,
+    # bit for bit, and the same accesses in another order sum the same.
+    seq = [(READ, ROW_MISS), (WRITE, ROW_HIT), (READ, ROW_HIT), (WRITE, ROW_MISS)]
+    totals = []
+    for order in (seq, seq[::-1]):
+        c = make_controller(opportunistic_writes=True)
+        expected = 0.0
+        for bank, (kind, outcome) in enumerate(order):
+            if outcome == ROW_HIT:
+                c.banks[bank].open_for(bank, app_id=0)
+            assert _served(c, req(bank, bank, kind)).outcome == outcome
+            expected += c.energy.access_pj(BLOCK_BITS, kind, outcome)
+        assert c.energy.dynamic_pj == expected
+        totals.append(expected)
+    assert totals[0] == pytest.approx(totals[1])
 
 
 def test_fr_fcfs_prefers_row_hit_over_older_miss():
@@ -74,7 +125,7 @@ def test_completion_frees_queue_slot():
     mig = req(3, 2, demand=False)
     assert c.enqueue(mig, 0)         # reserve slot admits migration traffic
     c.try_issue(0)
-    assert not c.has_space(READ)
+    assert not c.enqueue(req(4, 3, demand=False), 0)   # a holds its slot in service
     c.on_complete(a)
     c.on_complete(mig)
     assert c.enqueue(b, a.completion_cycle)
@@ -305,8 +356,7 @@ def test_zero_cycle_service_latency_is_rejected():
     # phase relies on every bank freeing at a later completion event.
     fast = replace(NVM_BASELINE, name="fast", t_cl_ns=0.5)
     with pytest.raises(ValueError, match="fast: a service latency rounds to 0"):
-        ChannelController(NVM_CHANNEL, fast, GEO, ControllerConfig(),
-                          EnergyMeter(fast, GEO))
+        ChannelController(fast, GEO, ControllerConfig(), EnergyMeter(fast, GEO))
 
 
 def test_write_buffer_too_small_to_start_a_drain_is_rejected():
@@ -341,7 +391,8 @@ def test_queue_state_by_kind_matches_the_requests_it_holds(steps, opportunistic)
         if step[0] == _ENQUEUE:
             _, page, kind, demand, app = step
             r = req(i, page, kind, app if demand else SYSTEM_APP, demand)
-            space = c.has_space(kind, demand)
+            cap, reserve = capacity[kind]
+            space = c.occupancy[kind] < (cap - reserve if demand else cap)
             assert c.enqueue(r, cycle) == space
         elif step[0] == _ISSUE:
             r = c.try_issue(cycle)
@@ -358,6 +409,4 @@ def test_queue_state_by_kind_matches_the_requests_it_holds(steps, opportunistic)
             assert c.occupancy[kind] == len(held) + sum(r.kind == kind
                                                         for r in in_service)
             assert all(r.bank_id == b == r.page_id % GEO.banks for b, r in held)
-            cap, reserve = capacity[kind]
-            assert c.has_space(kind, demand=False) == (c.occupancy[kind] < cap)
-            assert c.has_space(kind) == (c.occupancy[kind] < cap - reserve)
+            assert c.occupancy[kind] <= capacity[kind][0]

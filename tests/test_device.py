@@ -5,27 +5,8 @@ from hypothesis import given, strategies as st
 
 from hybridmem.device import (
     DRAM_BASELINE, NVM_BASELINE, SYSTEM_APP, Bank, DevTiming, DeviceGeometry,
-    EnergyMeter, READ, WRITE, ROW_HIT, ROW_MISS, classify_access, load_timing,
-    service_latency,
+    EnergyMeter, READ, WRITE, ROW_HIT, ROW_MISS, load_timing, service_latency,
 )
-
-
-def test_classify_open_row_hit():
-    bank = Bank()
-    bank.open_for(7, app_id=0)
-    assert classify_access(bank, 7) == ROW_HIT
-
-
-def test_classify_other_row_miss():
-    bank = Bank()
-    bank.open_for(7, app_id=0)
-    assert classify_access(bank, 9) == ROW_MISS
-
-
-def test_classify_closed_row_miss():
-    bank = Bank()
-    assert bank.open_row is None
-    assert classify_access(bank, 7) == ROW_MISS
 
 
 def test_dram_read_miss_latency_cycles():
@@ -81,14 +62,12 @@ def test_timing_rejects_nonpositive_fields():
 
 def test_energy_nvm_write_miss():
     m = EnergyMeter(NVM_BASELINE, DeviceGeometry(1 << 20))
-    m.account(512, WRITE, ROW_MISS)
-    assert m.dynamic_pj == pytest.approx(512 * (16.82 + 1.02))
+    assert m.access_pj(512, WRITE, ROW_MISS) == pytest.approx(512 * (16.82 + 1.02))
 
 
 def test_energy_dram_read_hit():
     m = EnergyMeter(DRAM_BASELINE, DeviceGeometry(1 << 20))
-    m.account(512, READ, ROW_HIT)
-    assert m.dynamic_pj == pytest.approx(512 * 0.93)
+    assert m.access_pj(512, READ, ROW_HIT) == pytest.approx(512 * 0.93)
 
 
 def test_standby_energy_zero_elapsed():
@@ -101,26 +80,6 @@ def test_standby_energy_scales_with_capacity_and_time():
     one = m.standby_joules(1000)
     assert one == pytest.approx((1 << 23) * 21e-6 * 1000 * 1.875e-9)
     assert m.standby_joules(2000) == pytest.approx(2 * one)
-
-
-def test_energy_additive_and_bank_order_independent():
-    # Same multiset of accesses in a different order yields the same total.
-    seq = [(READ, ROW_MISS), (WRITE, ROW_HIT), (READ, ROW_HIT), (WRITE, ROW_MISS)]
-    a = EnergyMeter(NVM_BASELINE, DeviceGeometry(1 << 20))
-    b = EnergyMeter(NVM_BASELINE, DeviceGeometry(1 << 20))
-    for kind, outcome in seq:
-        a.account(512, kind, outcome)
-    for kind, outcome in reversed(seq):
-        b.account(512, kind, outcome)
-    assert a.dynamic_pj == pytest.approx(b.dynamic_pj)
-
-
-def test_same_row_back_to_back_hits():
-    bank = Bank()
-    assert classify_access(bank, 12) == ROW_MISS
-    bank.open_for(12, app_id=0)
-    assert classify_access(bank, 12) == ROW_HIT
-    assert classify_access(bank, 12) == ROW_HIT
 
 
 def test_bank_busy_until_monotone():

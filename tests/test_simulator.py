@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +61,45 @@ def test_event_before_the_current_cycle_is_rejected():
     sim.cycle = 10
     with pytest.raises(RuntimeError, match=r"priority 1\) scheduled at cycle 9,"):
         sim._push(9, 1, None)
+
+
+class _PhaseOrder(Simulation):
+    """Records, in order, the cycle of every service phase and quantum end."""
+
+    def __init__(self, config, traces):
+        self.calls = []
+        super().__init__(config, traces)
+
+    def _phase(self, cycle):
+        self.calls.append((cycle, "phase"))
+        super()._phase(cycle)
+
+    def _end_quantum(self, cycle):
+        self.calls.append((cycle, "quantum"))
+        super()._end_quantum(cycle)
+
+
+def test_a_cycle_runs_one_phase_and_runs_it_before_the_quantum():
+    # Same-cycle phases run from a flag, later-cycle ones from the heap; a
+    # 500-cycle quantum makes many quantum ends share a cycle with a phase.
+    config = replace(_small_config(policy="all"), quantum_cycles=500)
+    sim = _PhaseOrder(config, _spread_mix(read_fraction=0.7)).run()
+    assert sim.finished and sim.engine.pages_promoted > 0
+    phases = [c for c, what in sim.calls if what == "phase"]
+    assert len(phases) == len(set(phases)), "a cycle ran two service phases"
+    shared = set(phases) & {c for c, what in sim.calls if what == "quantum"}
+    assert len(shared) > 5
+    for c in shared:
+        assert sim.calls.index((c, "phase")) < sim.calls.index((c, "quantum"))
+
+
+def test_simulation_instances_have_no_dict():
+    # Slots keep every attribute load of the hot methods on the fast path
+    # (a dict past 30 attributes is not); test subclasses still add theirs.
+    sim = Simulation(_small_config(), _spread_mix(read_fraction=0.7))
+    assert not hasattr(sim, "__dict__")
+    with pytest.raises(AttributeError):
+        sim.unlisted = 1
 
 
 # -- golden reports --------------------------------------------------------------
