@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -247,6 +248,81 @@ def test_golden_one_application(case):
     assert demand and all(r.interference_delay == 0 for r in demand)
     assert sim.t_interference == [0]
     assert sim.measured_window(0)["t_interference"] == 0
+
+
+# Digests of sixteen small runs whose configurations are drawn from fixed
+# seeds, beyond the hand-picked cases above: 1-3 applications, every
+# policy, write buffers of 9-64 entries with opportunistic writes on and
+# off, 1-16 in-flight blocks, tag associativity 2-16, preloaded pages,
+# warmup and migration off. Every app reads at least 30% of the time (see
+# the pure-writer defect below).
+_FUZZ = {
+    1: "37f36448a7c18e3a", 3: "46e956a17522145f", 5: "0e62e8611c38ff2c",
+    8: "b00a6dc2d00f8719", 9: "3a58427c23a1a2f9", 14: "814bfb5010f6676b",
+    16: "6385f10ccf18a2d2", 17: "8237033fcd94612b", 19: "b0ccf91764954500",
+    23: "41f9687884d6f75d", 24: "f6dc6f72818ad488", 26: "ee1887891361b863",
+    27: "b9c8b0fe196d4bed", 32: "296abcb834cf85b8", 35: "c2a72a15305a4e96",
+    40: "36063ce4347ba3cd",
+}
+
+
+def _fuzz_case(seed: int):
+    """A small configuration and mix drawn from `seed`."""
+    rng = random.Random(seed)
+    traces = [generate(SynthSpec(
+        name=f"app{i}", target_mpki=rng.uniform(5.0, 35.0),
+        read_fraction=rng.choice((0.3, 0.5, 0.7, 0.9, 1.0)), seed=rng.randrange(1000),
+        first_page=300 * i,
+        classes=(PageClass(rng.randint(32, 256), burst=rng.randint(1, 4),
+                           row_hit_prob=rng.uniform(0.0, 0.8)),
+                 PageClass(rng.randint(8, 32), weight=rng.uniform(1.0, 4.0),
+                           row_hit_prob=rng.uniform(0.0, 0.8)))), 1000)
+        for i in range(rng.randint(1, 3))]
+    dram = DeviceGeometry(1 << 20)
+    assoc = rng.choice((2, 4, 8, 16))
+    controller = ControllerConfig(
+        write_buffer_capacity=rng.choice((9, 16, 32, 64, rng.randint(10, 63))),
+        opportunistic_writes=rng.random() < 0.5)
+    config = SimConfig(
+        policy=rng.choice(POLICY_NAMES), dram_geometry=dram,
+        nvm_geometry=DeviceGeometry(16 << 20), controller=controller,
+        quantum_cycles=rng.choice((1000, 2000, 5000)),
+        migration_enabled=rng.random() < 0.8,
+        warmup_instructions=rng.choice((0, 0, 1000, 2000)),
+        measured_instructions=rng.randint(5000, 10000),
+        migration_inflight_blocks=rng.choice((1, 16, rng.randint(2, 15))),
+        tag_associativity=assoc,
+        # One page per set, so no set overflows.
+        preload_dram_pages=tuple(rng.sample(range(dram.pages // assoc),
+                                            rng.choice((0, 0, 4, 8)))),
+        stat_decay=rng.random() < 0.3)
+    return config, traces
+
+
+@pytest.mark.parametrize("seed", list(_FUZZ))
+def test_fuzzed_config_digest(seed):
+    config, traces = _fuzz_case(seed)
+    sim = Simulation(config, traces).run()
+    assert sim.finished
+    assert _state_digest(sim) == _FUZZ[seed]
+
+
+def test_fuzzed_configs_cover_the_drawn_space():
+    cases = [_fuzz_case(seed) for seed in _FUZZ]
+    configs = [config for config, _ in cases]
+
+    def seen(field):
+        return {field(c) for c in configs}
+
+    assert {len(traces) for _, traces in cases} == {1, 2, 3}
+    assert {c.policy for c in configs if c.migration_enabled} == set(POLICY_NAMES)
+    assert seen(lambda c: c.migration_enabled) == {True, False}
+    assert seen(lambda c: c.controller.opportunistic_writes) == {True, False}
+    assert {9, 64} <= seen(lambda c: c.controller.write_buffer_capacity)
+    assert {1, 16} <= seen(lambda c: c.migration_inflight_blocks)
+    assert {2, 16} <= seen(lambda c: c.tag_associativity)
+    assert seen(lambda c: bool(c.preload_dram_pages)) == {True, False}
+    assert seen(lambda c: c.warmup_instructions > 0) == {True, False}
 
 
 def test_read_only_mix_asks_controllers_only_when_they_issue():
