@@ -156,23 +156,32 @@ def cmd_sweep(args) -> int:
     return 0 if ok else 1
 
 
+# `--page-class` fields and how each value parses.
+_CLASS_FIELDS = {"pages": int, "burst": int, "page_stride": int,
+                 "weight": float, "row_hit_prob": float, "read_fraction": float}
+
+
 def _parse_class(text: str) -> PageClass:
     kwargs = {}
     for item in text.split(","):
         key, _, value = item.partition("=")
-        key = key.strip()
-        if key in ("pages", "burst", "page_stride"):
-            kwargs[key] = int(value)
-        elif key in ("weight", "row_hit_prob", "read_fraction"):
-            kwargs[key] = float(value)
-        else:
+        key, value = key.strip(), value.strip()
+        convert = _CLASS_FIELDS.get(key)
+        if convert is None:
             raise InvalidSpec(f"unknown class field {key!r}")
+        if not value:
+            raise InvalidSpec(f"class field {key!r} needs a value")
+        try:
+            kwargs[key] = convert(value)
+        except ValueError:
+            raise InvalidSpec(f"class field {key!r} needs {convert.__name__} value, "
+                              f"got {value!r}") from None
     return PageClass(**kwargs)
 
 
 def cmd_tracegen(args) -> int:
     if args.preset == "three-page":
-        spec = three_page_spec(seed=args.seed, mpki=args.mpki or 2.0)
+        spec = three_page_spec(seed=args.seed, mpki=2.0 if args.mpki is None else args.mpki)
     elif args.preset:
         print(f"unknown preset {args.preset!r}", file=sys.stderr)
         return 2
@@ -183,7 +192,7 @@ def cmd_tracegen(args) -> int:
                                  burst=args.burst),)
         spec = SynthSpec(
             name=args.name,
-            target_mpki=args.mpki or 10.0,
+            target_mpki=10.0 if args.mpki is None else args.mpki,
             classes=classes,
             read_fraction=args.read_fraction,
             seed=args.seed,

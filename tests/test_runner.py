@@ -198,6 +198,22 @@ def test_cli_rejects_a_negative_debug_pages_count(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--mpki", "0"], "target MPKI must be > 0"),
+    (["--preset", "three-page", "--mpki", "0"], "target MPKI must be > 0"),
+    (["--page-class", "pages"], "class field 'pages' needs a value"),
+    (["--page-class", "pages=64,weight="], "class field 'weight' needs a value"),
+    (["--page-class", "pages=x"], "class field 'pages' needs int value, got 'x'"),
+    (["--page-class", "colour=red"], "unknown class field 'colour'"),
+], ids=["mpki-0", "three-page-mpki-0", "no-value", "empty-value", "not-an-int",
+        "unknown-field"])
+def test_cli_tracegen_rejects_a_bad_spec(tmp_path, capsys, flags, message):
+    out = tmp_path / "t.hmt"
+    assert cli.main(["tracegen", "--out", str(out), "--accesses", "100", *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ini, flags, why", [
     ("", ["--policy", "all"], "policy all reads none"),
     ("migration_enabled = false\n", [], "migration is off"),
