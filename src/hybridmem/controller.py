@@ -1,9 +1,10 @@
 """Per-channel memory controller: queues, FR-FCFS scheduling, write drains.
 
 Each channel owns a read request queue and a write buffer, held by request
-kind: per-bank wait lists of unissued requests (`wait[kind][bank]`), their
-count (`waiting[kind]`) and the occupancy (`occupancy[kind]`), which holds
-an entry until its request completes and so bounds the in-flight requests.
+kind: the wait lists of unissued requests, one per bank that has any
+(`wait[kind]`, a dict from bank to its non-empty list), their count
+(`waiting[kind]`) and the occupancy (`occupancy[kind]`), which holds an
+entry until its request completes and so bounds the in-flight requests.
 A page fills one row buffer, so a request's row is its page and its bank is
 `page % banks`. Scheduling prefers row-buffer hits, then the oldest request,
 one command per cycle. Writes are deferred and drained in batches between
@@ -111,7 +112,16 @@ class ChannelController:
 
     `bench/spans.py` times `enqueue`, `try_issue` and `on_complete` by
     replacing them on this class, so each must stay a method defined here.
+    Instances have slots, as `Simulation` does, so every attribute load on
+    the request path takes the slot fast path.
     """
+
+    __slots__ = (
+        "config", "energy", "shared", "n_banks", "banks", "latency", "energy_pj",
+        "wait", "waiting", "occupancy", "capacity", "draining", "eligible",
+        "more_ready", "may_issue", "_high", "_low", "issued_reads",
+        "issued_writes", "row_hits", "row_misses", "queue_wait_cycles",
+    )
 
     def __init__(self, timing: DevTiming, geometry: DeviceGeometry,
                  config: ControllerConfig, energy: EnergyMeter, shared: bool = True):
@@ -130,7 +140,9 @@ class ChannelController:
         # expression as EnergyMeter.access_pj, so the sums do not move.
         self.energy_pj = [[energy.access_pj(BLOCK_BITS, k, o)
                            for o in (ROW_HIT, ROW_MISS)] for k in (READ, WRITE)]
-        self.wait = [[[] for _ in range(geometry.banks)] for _ in (READ, WRITE)]
+        # By kind: bank -> its unissued requests, for banks that hold any, so
+        # a scan visits only the banks with something to issue.
+        self.wait = [{}, {}]
         self.waiting = [0, 0]     # by kind: not yet issued
         self.occupancy = [0, 0]   # by kind: waiting + in service
         # Slots by [kind][is_demand]: migration traffic may fill them all,
@@ -172,7 +184,11 @@ class ChannelController:
         b = req.bank_id = req.page_id % self.n_banks
         occupancy[kind] += 1
         self.waiting[kind] += 1
-        self.wait[kind][b].append(req)
+        q = self.wait[kind].get(b)
+        if q is None:
+            self.wait[kind][b] = [req]
+        else:
+            q.append(req)
         if kind == WRITE and not self.draining and occupancy[WRITE] > self._high:
             self.draining = self.eligible[WRITE] = True
             self.may_issue = True   # the waiting writes now compete
@@ -197,16 +213,22 @@ class ChannelController:
         # The request's bank frees now (its busy span ends at completion).
         b = req.bank_id
         wait = self.wait
-        if wait[READ][b] or (self.eligible[WRITE] and wait[WRITE][b]):
+        if b in wait[READ] or (self.eligible[WRITE] and b in wait[WRITE]):
             self.may_issue = True
 
     # -- scheduling -----------------------------------------------------------
 
-    def _candidates(self, wait_lists, cycle: int):
-        """Each free bank's first row hit, or else its oldest request."""
+    def _candidates(self, wait, cycle: int):
+        """Each free bank's first row hit, or else its oldest request.
+
+        The banks come in the order their lists were filled, not by index;
+        no result depends on that (see `try_issue`).
+        """
         out = []
-        for bank, q in zip(self.banks, wait_lists):
-            if q and bank.busy_until <= cycle:
+        banks = self.banks
+        for b, q in wait.items():
+            bank = banks[b]
+            if bank.busy_until <= cycle:
                 open_row = bank.open_row
                 for r in q:
                     if r.page_id == open_row:
@@ -233,7 +255,7 @@ class ChannelController:
         winner = pool[0]
         if len(pool) > 1:
             # FR-FCFS: a row hit first, then the earliest arrival, then the
-            # lowest id.
+            # lowest id, a total order, so the pool's order does not matter.
             banks = self.banks
             w_hit = banks[winner.bank_id].open_row == winner.page_id
             for r in pool[1:]:
@@ -281,7 +303,11 @@ class ChannelController:
             if outcome == ROW_MISS and 0 <= req.snap_opens < bank.opens_by_others(app):
                 req.interference_delay += latency - self.latency[kind][ROW_HIT]
 
-        self.wait[kind][b].remove(req)
+        wait = self.wait[kind]
+        q = wait[b]
+        q.remove(req)
+        if not q:
+            del wait[b]
         self.waiting[kind] -= 1
         if kind == READ:
             self.issued_reads += 1

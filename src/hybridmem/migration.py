@@ -100,6 +100,9 @@ class MigrationJob:
         self.page = page
         self.victim = victim
         self.blocks = blocks
+        # The last pump stopped on a full queue. A move ends only after its
+        # last pump injected every block, so `begin` never meets it set.
+        self.blocked = False
         if victim is None:
             self.begin(page, NVM_CHANNEL, DRAM_CHANNEL)
         else:
@@ -115,7 +118,6 @@ class MigrationJob:
         self.writes_done = 0
         self.inflight = 0
         self.pending_writes = deque()
-        self.blocked = False   # the last pump stopped on a full queue
 
     def location(self, page: int, block: int) -> int:
         """Channel a demand access to `block` of `page` must be routed to now.
@@ -149,6 +151,7 @@ class MigrationEngine:
         self.pending_capacity = pending_capacity
         self.inflight_blocks = inflight_blocks
         self.jobs = []
+        self.n_blocked = 0   # jobs whose `blocked` is set
         self.pending = deque()
         self.migrating = {}   # page_id -> job (promotion targets and victims)
         self.pages_promoted = 0
@@ -205,20 +208,14 @@ class MigrationEngine:
 
     # -- traffic pumping ------------------------------------------------------
 
-    def can_progress(self) -> bool:
-        """Whether a job is stopped on a full queue, the only work for pump.
-
-        Every other change to a job pumps it on the spot. A pending promotion
-        waits only while every way of its set is mid-migration, and the
-        promotion that frees a way starts it (`_finish_move`).
-        """
-        for job in self.jobs:
-            if job.blocked:
-                return True
-        return False
-
     def pump(self, cycle: int):
-        """Re-pump the jobs stopped on a full queue (a no-op until a slot frees)."""
+        """Re-pump the jobs stopped on a full queue (a no-op until a slot frees).
+
+        They are the only work for a later pump: every other change to a job
+        pumps it on the spot. A pending promotion waits only while every way
+        of its set is mid-migration, and the promotion that frees a way
+        starts it (`_finish_move`).
+        """
         for job in self.jobs:
             if job.blocked:
                 self.pump_job(job, cycle)
@@ -226,13 +223,16 @@ class MigrationEngine:
     def pump_job(self, job: MigrationJob, cycle: int):
         # Buffered blocks head for the destination first; that frees buffer
         # space and bounds the job's footprint.
-        job.blocked = False
+        if job.blocked:
+            job.blocked = False
+            self.n_blocked -= 1
+        blocked = False
         page = job.moving
         while job.pending_writes:
             req = self.sim.inject_migration(job, WRITE, page, job.pending_writes[0],
                                             job.dst_channel, cycle)
             if req is None:
-                job.blocked = True
+                blocked = True
                 break
             job.pending_writes.popleft()
             self.traffic_bytes += self.sim.block_bytes
@@ -240,11 +240,14 @@ class MigrationEngine:
             req = self.sim.inject_migration(job, READ, page, job.next_read,
                                             job.src_channel, cycle)
             if req is None:
-                job.blocked = True
+                blocked = True
                 break
             job.next_read += 1
             job.inflight += 1
             self.traffic_bytes += self.sim.block_bytes
+        if blocked:
+            job.blocked = True
+            self.n_blocked += 1
 
     def finish_block_read(self, job: MigrationJob, block: int, cycle: int):
         job.block_state[block] = IN_BUFFER

@@ -23,9 +23,10 @@ request on another bank (`more_ready`), in which case it requests the
 phase at `cycle + 1`. An enqueue requests a phase in its own cycle when a
 controller may issue. A completion requests one when a controller may
 issue, a request is parked (the freed slot may admit it), or a migration
-job is stopped on a full queue, which the phase then re-pumps
-(`MigrationEngine.pump`). No other job needs a later pump: every other
-change to a job pumps it on the spot.
+job is stopped on a full queue. The phase re-pumps the stopped jobs
+(`MigrationEngine.pump`) only when there are any: the engine counts them
+(`n_blocked`). No other job needs a later pump: every other change to a
+job pumps it on the spot.
 
 A phase requested for the cycle the loop is working through is not a heap
 event: `_ensure_phase` sets the `_phase_due` flag, and the loop runs the
@@ -151,6 +152,7 @@ class Simulation:
         "_sensitivity", "_quantum_snaps", "_marker_snaps", "_done_count",
         "page_stall", "quantum_log", "quantum_index", "_next_req_id",
         "_phase_cycle", "_phase_due", "_next_sample", "_parked",
+        "_free_requests",
     )
 
     def __init__(self, config: SimConfig, traces):
@@ -226,6 +228,8 @@ class Simulation:
         self._next_sample = (config.sampling_period if self.keeps_page_stats
                              else math.inf)
         self._parked = 0
+        # Finished system requests, which `inject_migration` re-arms.
+        self._free_requests = []
 
         self._push(config.quantum_cycles, _EV_QUANTUM, None)
         for core in self.cores:
@@ -342,11 +346,31 @@ class Simulation:
 
     def inject_migration(self, job, kind: int, page: int, block: int,
                          channel: int, cycle: int):
+        """Queue one block of `job`'s move; None when the queue is full.
+
+        The request re-arms a finished system request when one is free, so
+        a run builds at most `max_jobs * migration_inflight_blocks` of them.
+        A re-arm sets every field that differs between two blocks: `id`,
+        `page_id`, `kind`, `mig_job`, `mig_block`, `channel` and
+        `dispatch_cycle`; `enqueue` and the issue set the bank, arrival,
+        completion and outcome. `interference_delay` and `snap_*` never
+        leave their defaults on system traffic, which is nobody's
+        interference and suffers none. The id is drawn only once the
+        request is admitted, as FR-FCFS breaks ties on it.
+        """
         ctrl = self.controllers[channel]
         if ctrl.occupancy[kind] >= ctrl.capacity[kind][False]:
             return None   # the queue is full even to migration traffic
         self._next_req_id += 1
-        req = MemRequest(self._next_req_id, SYSTEM_APP, page, kind, is_demand=False)
+        free = self._free_requests
+        if free:
+            req = free.pop()
+            req.id = self._next_req_id
+            req.page_id = page
+            req.kind = kind
+        else:
+            req = MemRequest(self._next_req_id, SYSTEM_APP, page, kind,
+                             is_demand=False)
         req.mig_job = job
         req.mig_block = block
         req.channel = channel
@@ -360,11 +384,13 @@ class Simulation:
         if req.channel != BUFFER_CHANNEL:
             self.controllers[req.channel].on_complete(req)
         if not req.is_demand:
-            job = req.mig_job
-            if req.kind == READ:
-                self.engine.finish_block_read(job, req.mig_block, cycle)
+            job, block, kind = req.mig_job, req.mig_block, req.kind
+            # Free first, so the block's write can re-arm this request.
+            self._free_requests.append(req)
+            if kind == READ:
+                self.engine.finish_block_read(job, block, cycle)
             else:
-                self.engine.finish_block_write(job, req.mig_block, cycle)
+                self.engine.finish_block_write(job, block, cycle)
         else:
             app = req.app_id
             out = self.outstanding
@@ -381,9 +407,8 @@ class Simulation:
                     self.hot.on_complete(req.page_id, app, req.kind == WRITE,
                                          self.store)
                 self._maybe_migrate(req.page_id, cycle)
-        engine = self.engine
         if self._dram.may_issue or self._nvm.may_issue or self._parked \
-                or (engine.jobs and engine.can_progress()):
+                or self.engine.n_blocked:
             self._ensure_phase(cycle)
 
     def _maybe_migrate(self, page: int, cycle: int):
@@ -480,7 +505,7 @@ class Simulation:
     def _phase(self, cycle: int):
         if self._parked:
             self._retry_parked(cycle)
-        if self.engine.jobs:
+        if self.engine.n_blocked:
             self.engine.pump(cycle)
         again = False
         for ctrl in self.controllers:

@@ -259,7 +259,7 @@ def test_row_conversion_penalty():
     c3.waiting[READ] -= 1
     w = c3.try_issue(0)
     assert w is closer
-    c3.wait[READ][0].append(victim)
+    c3.wait[READ][0] = [victim]          # closer's issue emptied bank 0's list
     c3.waiting[READ] += 1
     w2 = c3.try_issue(closer.completion_cycle)
     assert w2 is victim
@@ -404,7 +404,8 @@ def test_queue_state_by_kind_matches_the_requests_it_holds(steps, opportunistic)
             cycle = max(cycle, r.completion_cycle)
             c.on_complete(r)
         for kind in (READ, WRITE):
-            held = [(b, r) for b, q in enumerate(c.wait[kind]) for r in q]
+            held = [(b, r) for b, q in c.wait[kind].items() for r in q]
+            assert all(c.wait[kind].values())   # only banks with waiting requests
             assert c.waiting[kind] == len(held)
             assert c.occupancy[kind] == len(held) + sum(r.kind == kind
                                                         for r in in_service)

@@ -8,8 +8,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybridmem import runner
-from hybridmem.controller import ControllerConfig
+from hybridmem import runner, simulator
+from hybridmem.controller import ChannelController, ControllerConfig, MemRequest
 from hybridmem.core import AppCore
 from hybridmem.device import (
     BUFFER_CHANNEL, DRAM_CHANNEL, NVM_CHANNEL, READ, DeviceGeometry,
@@ -101,6 +101,13 @@ def test_simulation_instances_have_no_dict():
     assert not hasattr(sim, "__dict__")
     with pytest.raises(AttributeError):
         sim.unlisted = 1
+
+
+def test_controller_instances_have_no_dict():
+    for ctrl in Simulation(_small_config(), _spread_mix(read_fraction=0.7)).controllers:
+        assert not hasattr(ctrl, "__dict__")
+        with pytest.raises(AttributeError):
+            ctrl.unlisted = 1
 
 
 # -- golden reports --------------------------------------------------------------
@@ -205,16 +212,20 @@ def _state_digest(sim: Simulation) -> str:
 
 @pytest.mark.parametrize("case", list(_SPREAD))
 def test_golden_config_spread(case):
-    fields, digest = _SPREAD[case]
-    fields = dict(fields)
+    config, traces = _spread_case(case)
+    sim = Simulation(config, traces).run()
+    assert sim.finished == (config.max_cycles is None)
+    assert _state_digest(sim) == _SPREAD[case][1]
+
+
+def _spread_case(case: str):
+    """The configuration and mix of one `_SPREAD` case."""
+    fields = dict(_SPREAD[case][0])
     read_fraction = fields.pop("read_fraction", 0.7)
     controller = ControllerConfig(**{k: fields.pop(k) for k in
                                      ("write_buffer_capacity", "opportunistic_writes")
                                      if k in fields})
-    config = _small_config(controller=controller, **fields)
-    sim = Simulation(config, _spread_mix(read_fraction)).run()
-    assert sim.finished == (config.max_cycles is None)
-    assert _state_digest(sim) == digest
+    return _small_config(controller=controller, **fields), _spread_mix(read_fraction)
 
 
 class _Completions(Simulation):
@@ -325,18 +336,62 @@ def test_fuzzed_configs_cover_the_drawn_space():
     assert seen(lambda c: c.warmup_instructions > 0) == {True, False}
 
 
-def test_read_only_mix_asks_controllers_only_when_they_issue():
+def test_read_only_mix_asks_controllers_only_when_they_issue(monkeypatch):
     sim = Simulation(_small_config(migration_enabled=False),
                      _spread_mix(read_fraction=1.0))
     results = []
-    for ctrl in sim.controllers:
-        def counted(cycle, try_issue=ctrl.try_issue):
-            results.append(try_issue(cycle))
-            return results[-1]
-        ctrl.try_issue = counted
+
+    def counted(ctrl, cycle, try_issue=ChannelController.try_issue):
+        results.append(try_issue(ctrl, cycle))
+        return results[-1]
+
+    monkeypatch.setattr(ChannelController, "try_issue", counted)
     sim.run()
     assert sim.finished and len(results) > 500
     assert all(r is not None for r in results)
+
+
+class _Injections(Simulation):
+    """Records the id of every injected migration request, and every
+    completion after which the engine's count of stopped jobs is off."""
+
+    def __init__(self, config, traces):
+        self.injected = []
+        self.miscounted = []
+        super().__init__(config, traces)
+
+    def inject_migration(self, *args):
+        req = super().inject_migration(*args)
+        if req is not None:
+            self.injected.append(req.id)
+        return req
+
+    def _complete(self, req, cycle):
+        super()._complete(req, cycle)
+        engine = self.engine
+        if engine.n_blocked != sum(job.blocked for job in engine.jobs):
+            self.miscounted.append(cycle)
+
+
+def test_finished_migration_requests_are_reused_with_fresh_ids(monkeypatch):
+    built = []
+
+    class Counted(MemRequest):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if not self.is_demand:
+                built.append(self)
+
+    monkeypatch.setattr(simulator, "MemRequest", Counted)
+    config, traces = _spread_case("all-opportunistic-wb9")
+    sim = _Injections(config, traces).run()
+    assert sim.finished and len(sim.injected) > 10_000
+    assert len(built) <= sim.engine.max_jobs * config.migration_inflight_blocks
+    # FR-FCFS breaks ties on the id, so a re-armed request takes a new one.
+    assert all(a < b for a, b in zip(sim.injected, sim.injected[1:]))
+    assert sim.miscounted == []
 
 
 # -- migration liveness ------------------------------------------------------------
