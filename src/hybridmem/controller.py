@@ -2,9 +2,9 @@
 
 Each channel owns a read request queue and a write buffer, held by request
 kind: the wait lists of unissued requests, one per bank that has any
-(`wait[kind]`, a dict from bank to its non-empty list), their count
-(`waiting[kind]`) and the occupancy (`occupancy[kind]`), which holds an
-entry until its request completes and so bounds the in-flight requests.
+(`wait[kind]`, a dict from bank to its non-empty list), and the occupancy
+(`occupancy[kind]`), which holds an entry until its request completes and
+so bounds the in-flight requests.
 A page fills one row buffer, so a request's row is its page and its bank is
 `page % banks`. Scheduling prefers row-buffer hits, then the oldest request,
 one command per cycle. Writes are deferred and drained in batches between
@@ -118,7 +118,7 @@ class ChannelController:
 
     __slots__ = (
         "config", "energy", "shared", "n_banks", "banks", "latency", "energy_pj",
-        "wait", "waiting", "occupancy", "capacity", "draining", "eligible",
+        "wait", "occupancy", "capacity", "draining", "eligible",
         "more_ready", "may_issue", "_high", "_low", "issued_reads",
         "issued_writes", "row_hits", "row_misses", "queue_wait_cycles",
     )
@@ -143,7 +143,6 @@ class ChannelController:
         # By kind: bank -> its unissued requests, for banks that hold any, so
         # a scan visits only the banks with something to issue.
         self.wait = [{}, {}]
-        self.waiting = [0, 0]     # by kind: not yet issued
         self.occupancy = [0, 0]   # by kind: waiting + in service
         # Slots by [kind][is_demand]: migration traffic may fill them all,
         # demand traffic leaves the migration reserve free. A request is
@@ -183,7 +182,6 @@ class ChannelController:
             return False
         b = req.bank_id = req.page_id % self.n_banks
         occupancy[kind] += 1
-        self.waiting[kind] += 1
         q = self.wait[kind].get(b)
         if q is None:
             self.wait[kind][b] = [req]
@@ -245,10 +243,10 @@ class ChannelController:
         are only considered when enabled by opportunistic_writes.
         """
         self.more_ready = False
-        wait, waiting = self.wait, self.waiting
-        reads = self._candidates(wait[READ], cycle) if waiting[READ] else []
+        wait = self.wait
+        reads = self._candidates(wait[READ], cycle) if wait[READ] else []
         writes = (self._candidates(wait[WRITE], cycle)
-                  if waiting[WRITE] and self.eligible[WRITE] else [])
+                  if wait[WRITE] and self.eligible[WRITE] else [])
         pool = (writes or reads) if self.draining else (reads or writes)
         if not pool:
             return None
@@ -308,7 +306,6 @@ class ChannelController:
         q.remove(req)
         if not q:
             del wait[b]
-        self.waiting[kind] -= 1
         if kind == READ:
             self.issued_reads += 1
         else:

@@ -256,11 +256,9 @@ def test_row_conversion_penalty():
     # at a cycle where only the closer is eligible: simulate by directly
     # servicing the closer.
     c3.wait[READ][0].remove(victim)
-    c3.waiting[READ] -= 1
     w = c3.try_issue(0)
     assert w is closer
     c3.wait[READ][0] = [victim]          # closer's issue emptied bank 0's list
-    c3.waiting[READ] += 1
     w2 = c3.try_issue(closer.completion_cycle)
     assert w2 is victim
     assert victim.outcome == ROW_MISS
@@ -406,7 +404,6 @@ def test_queue_state_by_kind_matches_the_requests_it_holds(steps, opportunistic)
         for kind in (READ, WRITE):
             held = [(b, r) for b, q in c.wait[kind].items() for r in q]
             assert all(c.wait[kind].values())   # only banks with waiting requests
-            assert c.waiting[kind] == len(held)
             assert c.occupancy[kind] == len(held) + sum(r.kind == kind
                                                         for r in in_service)
             assert all(r.bank_id == b == r.page_id % GEO.banks for b, r in held)
