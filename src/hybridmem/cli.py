@@ -181,7 +181,8 @@ def _parse_class(text: str) -> PageClass:
 
 def cmd_tracegen(args) -> int:
     if args.preset == "three-page":
-        spec = three_page_spec(seed=args.seed, mpki=2.0 if args.mpki is None else args.mpki)
+        spec = three_page_spec(seed=args.seed,
+                               mpki=2.0 if args.mpki is None else args.mpki)
     elif args.preset:
         print(f"unknown preset {args.preset!r}", file=sys.stderr)
         return 2
