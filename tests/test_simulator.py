@@ -178,9 +178,11 @@ _SPREAD = {
 
 
 def _small_config(**fields) -> SimConfig:
-    return SimConfig(dram_geometry=DeviceGeometry(1 << 20),
-                     nvm_geometry=DeviceGeometry(16 << 20), quantum_cycles=5000,
-                     measured_instructions=20_000, **fields)
+    """A small configuration; `fields` override its defaults."""
+    return SimConfig(**{"dram_geometry": DeviceGeometry(1 << 20),
+                        "nvm_geometry": DeviceGeometry(16 << 20),
+                        "quantum_cycles": 5000, "measured_instructions": 20_000,
+                        **fields})
 
 
 def _spread_mix(read_fraction: float):
@@ -588,8 +590,9 @@ def test_every_run_finishes_within_the_accounting_bounds(
 # stands; once fixed, strict xfail fails the run until the marker goes, and
 # the property test above can draw the case.
 
-@pytest.mark.xfail(strict=True, reason="the warmup marker rounds up to a whole "
-                   "cycle, so the measured window can be a cycle short")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the warmup marker rounds up to a whole cycle, so the "
+                   "measured window can be a cycle short")
 def test_ipc_after_warmup_stays_within_the_retire_width():
     config = _small_config(quantum_cycles=1000, warmup_instructions=1,
                            measured_instructions=1000, migration_enabled=False)
@@ -600,8 +603,9 @@ def test_ipc_after_warmup_stays_within_the_retire_width():
     assert sim.cores[0].ipc() <= AppCore.RETIRE_WIDTH   # 1000 / 333 cycles
 
 
-@pytest.mark.xfail(strict=True, reason="a write drain lasts while a writer "
-                   "refills the buffer, and a ready write always beats a read")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a write drain lasts while a writer refills the buffer, "
+                   "and a ready write always beats a read")
 def test_a_pure_writer_does_not_starve_reads():
     traces = [generate(SynthSpec(name="writer", target_mpki=30.0, read_fraction=0.0,
                                  seed=1, classes=(PageClass(128, burst=4),)), 400),
