@@ -94,6 +94,41 @@ def test_a_cycle_runs_one_phase_and_runs_it_before_the_quantum():
         assert sim.calls.index((c, "phase")) < sim.calls.index((c, "quantum"))
 
 
+def test_a_ready_request_on_a_second_bank_issues_in_the_next_cycle(monkeypatch):
+    # Two promotions requested before `run()` queue block reads on NVM banks
+    # 1 and 2. The service phase they request runs at cycle 0 and issues one
+    # read; the other bank's read issues at cycle 1, a cycle in which no
+    # completion, injection or core event falls.
+    sim = _idle_simulation()
+    events, issued = [], []
+
+    def recorded(name, method):
+        def wrapper(self, *args):
+            events.append((args[-1], name))
+            return method(self, *args)
+        return wrapper
+
+    for owner, name in ((Simulation, "_complete"), (Simulation, "_arrive"),
+                        (Simulation, "_phase"), (AppCore, "run_to")):
+        monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
+
+    def try_issue(ctrl, cycle, method=ChannelController.try_issue):
+        req = method(ctrl, cycle)
+        if req is not None:
+            issued.append((cycle, ctrl, req.bank_id))
+        return req
+
+    monkeypatch.setattr(ChannelController, "try_issue", try_issue)
+    for page in (1, 2):
+        assert sim.engine.request_promotion(page, cycle=0)
+    sim.config = replace(sim.config, max_cycles=1)
+    sim.run()
+    assert events[0] == (0, "_phase")
+    assert [(c, ctrl, b) for c, ctrl, b in issued] == [(0, sim._nvm, 1),
+                                                       (1, sim._nvm, 2)]
+    assert [e for e in events if e[0] == 1] == [(1, "_phase")]
+
+
 def test_simulation_instances_have_no_dict():
     # Slots keep every attribute load of the hot methods on the fast path
     # (a dict past 30 attributes is not); test subclasses still add theirs.
