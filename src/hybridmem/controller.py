@@ -119,7 +119,7 @@ class ChannelController:
     __slots__ = (
         "config", "energy", "shared", "n_banks", "banks", "latency", "energy_pj",
         "wait", "occupancy", "capacity", "draining", "eligible",
-        "more_ready", "may_issue", "_high", "_low", "issued_reads",
+        "may_issue", "_high", "_low", "issued_reads",
         "issued_writes", "row_hits", "row_misses", "queue_wait_cycles",
     )
 
@@ -154,14 +154,12 @@ class ChannelController:
         # Whether a request of each kind may issue: reads always, writes in
         # a drain or with opportunistic writes.
         self.eligible = [True, config.opportunistic_writes]
-        # Set by try_issue: a request on a bank other than the last winner's
-        # was ready, so the next cycle may issue too.
-        self.more_ready = False
         # Whether try_issue can find an eligible request on a free bank. Set
         # by every change that can make one: an eligible request enqueued on
         # a free bank, a completion freeing a bank with eligible requests
-        # waiting, a drain starting. The caller clears it when try_issue
-        # finds nothing more (not more_ready).
+        # waiting, a drain starting. try_issue clears it, and sets it again
+        # when it saw a ready request on a bank other than its winner's,
+        # which the next cycle may issue.
         self.may_issue = False
         self._high = config.drain_high_watermark * config.write_buffer_capacity
         self._low = config.drain_low_watermark * config.write_buffer_capacity
@@ -240,9 +238,12 @@ class ChannelController:
         """Issue at most one request this cycle; returns it (or None).
 
         In drain mode writes take priority; otherwise reads do, and writes
-        are only considered when enabled by opportunistic_writes.
+        are only considered when enabled by opportunistic_writes. Leaves
+        `may_issue` set only when another bank held a ready request, so
+        only then can the next cycle issue without a new enqueue or
+        completion.
         """
-        self.more_ready = False
+        self.may_issue = False
         wait = self.wait
         reads = self._candidates(wait[READ], cycle) if wait[READ] else []
         writes = (self._candidates(wait[WRITE], cycle)
@@ -275,9 +276,9 @@ class ChannelController:
         # than the winner's was ready iff a list holds two, or a read and a
         # write sit on different banks.
         if len(reads) > 1 or len(writes) > 1:
-            self.more_ready = True
+            self.may_issue = True
         elif reads and writes:
-            self.more_ready = reads[0].bank_id != writes[0].bank_id
+            self.may_issue = reads[0].bank_id != writes[0].bank_id
         self._service(winner, cycle)
         return winner
 

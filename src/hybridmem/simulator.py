@@ -10,32 +10,22 @@ event gaps, which is exact because outstanding-request state only changes
 at events.
 
 No event is ever scheduled before the current cycle (`_push` raises), so
-simulated time only moves forward. The service phase relies on that: it
-runs only in cycles where its work can change something, and asks only
-the controllers that can issue. A controller can issue only while it holds
-an eligible request (a read; a write in a drain or with opportunistic
-writes) on a free bank. Only three things create one: an enqueue on a
-free bank, a completion, which frees its bank (a bank frees exactly at
-its request's completion), and a write that starts a drain; ending a
-drain only narrows eligibility. Each of them sets the controller's
-`may_issue` flag. The phase clears it unless `try_issue` left a ready
-request on another bank (`more_ready`), in which case it requests the
-phase at `cycle + 1`. An enqueue requests a phase in its own cycle when a
-controller may issue. A completion requests one when a controller may
-issue, a request is parked (the freed slot may admit it), or a migration
-job is stopped on a full queue. The phase re-pumps the stopped jobs
-(`MigrationEngine.pump`) only when there are any: the engine counts them
-(`n_blocked`). No other job needs a later pump: every other change to a
-job pumps it on the spot.
-
-A phase requested for the cycle the loop is working through is not a heap
-event: `_ensure_phase` sets the `_phase_due` flag, and the loop runs the
-phase, clearing the flag, after that cycle's completion, injection and core
-events and before its quantum event. Only a phase for a later cycle (the
-`cycle + 1` one) goes on the heap, as an `_EV_PHASE` event, and so does one
-requested before `run()` starts, which `run()` pushes at its cycle. The
-phases run in the order that `_EV_PHASE` heap events would give them,
-without their push and pop.
+simulated time only moves forward. The service phase is not a heap event:
+`_phase_cycle` holds the cycle it was last requested for, and the loop
+enters that cycle unless a heap event comes first. It runs only where its
+work can change something, and asks only the controllers whose `may_issue`
+flag is set. A controller can issue only while it holds an eligible
+request (a read; a write in a drain or with opportunistic writes) on a free
+bank, and only three things create one: an enqueue on a free bank, a
+completion, which frees its bank (a bank frees exactly at its request's
+completion), and a write that starts a drain; ending a drain only narrows
+eligibility. Each sets the flag, and an enqueue or completion that leaves
+a flag set requests the phase in its own cycle; so does a completion while
+a request is parked (the freed slot may admit it) or a migration job is
+stopped on a full queue, which the phase re-pumps (the engine counts them,
+`n_blocked`; every other change to a job pumps it on the spot).
+`try_issue` clears its flag and sets it again only when a request on
+another bank was ready, and the phase then requests the next cycle.
 
 Page statistics -- the stat store, the MLP counters of pages with requests
 in flight to NVM, and the MLP sampling that feeds them -- model hardware
@@ -69,8 +59,7 @@ from .ubm import HotPageCounters, StatStore, ThresholdController
 _EV_COMPLETE = 0
 _EV_INJECT = 1
 _EV_CORE = 2
-_EV_PHASE = 3
-_EV_QUANTUM = 4
+_EV_QUANTUM = 3
 
 
 # Cycles from a core's dispatch to its request reaching the memory
@@ -151,7 +140,7 @@ class Simulation:
         "app_reads", "app_writes", "app_row_hits", "app_row_misses",
         "_sensitivity", "_quantum_snaps", "_marker_snaps", "_done_count",
         "page_stall", "quantum_log", "quantum_index", "_next_req_id",
-        "_phase_cycle", "_phase_due", "_next_sample", "_parked",
+        "_phase_cycle", "_next_sample", "_parked",
         "_free_requests",
     )
 
@@ -223,8 +212,11 @@ class Simulation:
         self.quantum_index = 0
 
         self._next_req_id = 0
-        self._phase_cycle = -1    # the latest cycle a phase was requested for
-        self._phase_due = False   # a phase is due in the loop's current cycle
+        # The latest cycle a service phase was requested for. Every request
+        # is for the cycle the loop is working through (or, before `run()`,
+        # for the cycle it starts at), except the phase's own request for
+        # the next cycle, which it makes last; so one slot records them all.
+        self._phase_cycle = -1
         self._next_sample = (config.sampling_period if self.keeps_page_stats
                              else math.inf)
         self._parked = 0
@@ -252,17 +244,6 @@ class Simulation:
             return
         core.next_wake = cycle
         self._push(cycle, _EV_CORE, core)
-
-    def _ensure_phase(self, cycle: int):
-        """Request one service phase at `cycle`, the current or a later one."""
-        if self._phase_cycle != cycle:
-            self._phase_cycle = cycle
-            if cycle == self.cycle:
-                # The loop runs it before leaving this cycle (see `run`); a
-                # request before `run()` starts is pushed when it starts.
-                self._phase_due = True
-            else:
-                self._push(cycle, _EV_PHASE, None)
 
     # -- scoring interface for the policy ------------------------------------
 
@@ -315,11 +296,8 @@ class Simulation:
                     self.hot.on_inject(req.page_id, req.app_id, req.kind == WRITE)
             elif self.tag.resident(req.page_id):
                 self.tag.touch(req.page_id)
-        # Either controller, not only this one: a flag raised after this
-        # cycle's phase ran (as a zero LOOKUP_CYCLES or BUFFER_SERVICE_CYCLES
-        # would allow) still waits.
         if self._dram.may_issue or self._nvm.may_issue:
-            self._ensure_phase(cycle)
+            self._phase_cycle = cycle
         return True
 
     def _arrive(self, req: MemRequest, cycle: int):
@@ -377,7 +355,7 @@ class Simulation:
         req.dispatch_cycle = cycle
         ctrl.enqueue(req, cycle)
         if self._dram.may_issue or self._nvm.may_issue:
-            self._ensure_phase(cycle)
+            self._phase_cycle = cycle
         return req
 
     def _complete(self, req: MemRequest, cycle: int):
@@ -409,7 +387,7 @@ class Simulation:
                 self._maybe_migrate(req.page_id, cycle)
         if self._dram.may_issue or self._nvm.may_issue or self._parked \
                 or self.engine.n_blocked:
-            self._ensure_phase(cycle)
+            self._phase_cycle = cycle
 
     def _maybe_migrate(self, page: int, cycle: int):
         if page in self.engine.migrating or self.tag.resident(page):
@@ -507,19 +485,15 @@ class Simulation:
             self._retry_parked(cycle)
         if self.engine.n_blocked:
             self.engine.pump(cycle)
-        again = False
         for ctrl in self.controllers:
-            if not ctrl.may_issue:
-                continue
-            req = ctrl.try_issue(cycle)
-            ctrl.may_issue = ctrl.more_ready   # False whenever req is None
-            if req is not None:
-                again = again or ctrl.more_ready
-                if req.is_demand:
-                    self.on_issue(req)
-                self._push(req.completion_cycle, _EV_COMPLETE, req)
-        if again:
-            self._ensure_phase(cycle + 1)
+            if ctrl.may_issue:
+                req = ctrl.try_issue(cycle)
+                if req is not None:
+                    if req.is_demand:
+                        self.on_issue(req)
+                    self._push(req.completion_cycle, _EV_COMPLETE, req)
+        if self._dram.may_issue or self._nvm.may_issue:
+            self._phase_cycle = cycle + 1
 
     # -- main loop --------------------------------------------------------
 
@@ -527,44 +501,36 @@ class Simulation:
         heap = self._heap
         heappop = heapq.heappop
         max_cycles = self.config.max_cycles
-        if self._phase_due:   # requested before the loop started
-            self._phase_due = False
-            self._push(self.cycle, _EV_PHASE, None)
-        while heap and not self.finished:
+        last = self.cycle - 1   # the last cycle worked through
+        # The heap is never empty: it always holds the next quantum event.
+        while not self.finished:
             t = heap[0][0]
+            if last < self._phase_cycle < t:
+                t = self._phase_cycle
             if max_cycles is not None and t > max_cycles:
                 break
             if t > self._next_sample:
                 self._catch_up_samples(t)
             self.cycle = t
-            while True:
-                # The cycle's events in (priority, push) order, with a phase
-                # due by flag run ahead of its first _EV_PHASE-or-later event.
-                if heap:
-                    top = heap[0]
-                    if top[0] == t and (top[1] < _EV_PHASE or not self._phase_due):
-                        _, prio, _, payload = heappop(heap)
-                        if prio == _EV_COMPLETE:
-                            self._complete(payload, t)
-                        elif prio == _EV_INJECT:
-                            self._arrive(payload, t)
-                        elif prio == _EV_CORE:
-                            if payload.next_wake is not None and payload.next_wake <= t:
-                                payload.next_wake = None
-                            payload.run_to(t)
-                        elif prio == _EV_PHASE:
-                            self._phase(t)
-                        else:
-                            self._end_quantum(t)
-                        if self.finished:
-                            break
-                        continue
-                if not self._phase_due:
-                    break
-                self._phase_due = False
+            # The cycle's completion, injection and core events in
+            # (priority, push) order, then its service phase, then its
+            # quantum event. The phase pushes nothing into its own cycle.
+            while heap[0][0] == t and heap[0][1] < _EV_QUANTUM and not self.finished:
+                _, prio, _, payload = heappop(heap)
+                if prio == _EV_COMPLETE:
+                    self._complete(payload, t)
+                elif prio == _EV_INJECT:
+                    self._arrive(payload, t)
+                else:
+                    if payload.next_wake is not None and payload.next_wake <= t:
+                        payload.next_wake = None
+                    payload.run_to(t)
+            if self._phase_cycle == t and not self.finished:
                 self._phase(t)
-                if self.finished:
-                    break
+            if heap[0][0] == t and not self.finished:
+                heappop(heap)
+                self._end_quantum(t)
+            last = t
         self._catch_up_samples(self.cycle + 1)
         self._settle(self.cycle)
         return self

@@ -280,19 +280,19 @@ def test_lost_arbitration_slot_counted():
 
 def test_next_cycle_flag_needs_a_ready_request_on_another_bank():
     c = make_controller()
-    assert c.try_issue(0) is None and not c.more_ready
+    assert c.try_issue(0) is None and not c.may_issue
     a, b = req(1, 0), req(2, 1)        # banks 0 and 1
     c.enqueue(a, 0)
     c.enqueue(b, 0)
     assert c.try_issue(0) is a
-    assert c.more_ready                # b's bank was ready too
+    assert c.may_issue                 # b's bank was ready too
     assert c.try_issue(1) is b
-    assert not c.more_ready            # b was the only ready request
+    assert not c.may_issue             # b was the only ready request
     d, e = req(3, 2), req(4, 10)       # both on bank 2
     c.enqueue(d, 2)
     c.enqueue(e, 2)
     assert c.try_issue(2) is d
-    assert not c.more_ready            # e waits for d's bank to free
+    assert not c.may_issue             # e waits for d's bank to free
 
 
 def test_issue_flag_set_only_when_a_request_may_issue():
@@ -300,8 +300,7 @@ def test_issue_flag_set_only_when_a_request_may_issue():
     a, b = req(1, 0), req(2, 8)          # both on bank 0
     c.enqueue(a, 0)
     assert c.may_issue                   # bank 0 was free
-    assert c.try_issue(0) is a and not c.more_ready
-    c.may_issue = False                  # as the simulator does
+    assert c.try_issue(0) is a and not c.may_issue
     c.enqueue(b, 1)
     assert not c.may_issue               # bank 0 is busy with a
     c.on_complete(a)                     # bank 0 frees with b waiting
@@ -313,7 +312,6 @@ def test_write_starting_a_drain_sets_the_issue_flag():
     c = make_controller()                # a drain starts above 24 writes
     c.enqueue(req(1, 0), 0)
     assert c.try_issue(0) is not None    # bank 0 is busy from here on
-    c.may_issue = False
     for i in range(24):                  # banks 1-7, free but writes wait
         assert c.enqueue(req(i + 2, 8 * i + 1 + i % 7, kind=WRITE), 1)
     assert not c.may_issue and not c.draining
