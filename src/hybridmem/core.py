@@ -71,10 +71,9 @@ class AppCore:
 
         self.warm_pos = warmup_instructions
         self.done_pos = warmup_instructions + measured_instructions
-        self.warm_cycle = 0 if warmup_instructions == 0 else None
-        self.done_cycle = None
-        # Head position of the next uncrossed marker (inf once both are).
-        self.next_marker = self.done_pos if self.warm_cycle == 0 else self.warm_pos
+        # Head position of the next uncrossed marker: warm, then done, then
+        # inf. With no warmup the warm marker is crossed at cycle 0.
+        self.next_marker = self.warm_pos if warmup_instructions else self.done_pos
 
     # -- trajectory pieces ----------------------------------------------------
 
@@ -87,15 +86,17 @@ class AppCore:
         return stop
 
     def _record_markers(self, old_head: int, new_head: int, seg_start: int):
+        """Report the markers that the head, moving from `old_head` at
+        cycle `seg_start` to `new_head`, crosses; it crosses `next_marker`."""
         w = self.RETIRE_WIDTH
-        if self.warm_cycle is None and old_head < self.warm_pos <= new_head:
-            self.warm_cycle = seg_start + _ceil_div(self.warm_pos - old_head, w)
+        if self.next_marker == self.warm_pos:
             self.next_marker = self.done_pos
-            self.sim.on_app_marker(self, "warm", self.warm_cycle)
-        if self.done_cycle is None and old_head < self.done_pos <= new_head:
-            self.done_cycle = seg_start + _ceil_div(self.done_pos - old_head, w)
+            self.sim.on_app_marker(
+                self, "warm", seg_start + _ceil_div(self.warm_pos - old_head, w))
+        if self.next_marker <= new_head:
             self.next_marker = float("inf")
-            self.sim.on_app_marker(self, "done", self.done_cycle)
+            self.sim.on_app_marker(
+                self, "done", seg_start + _ceil_div(self.done_pos - old_head, w))
 
     def _try_dispatch(self):
         """Admit instructions at the tail; dispatch memory ops while possible."""
@@ -268,9 +269,3 @@ class AppCore:
             for target in (rob_need, marker):
                 if target > head and (stop is None or stop >= target):
                     self.sim.schedule_core(self, cycle - (head - target) // w)
-
-    def ipc(self) -> float | None:
-        if self.warm_cycle is None or self.done_cycle is None:
-            return None
-        cycles = max(1, self.done_cycle - self.warm_cycle)
-        return (self.done_pos - self.warm_pos) / cycles

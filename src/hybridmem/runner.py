@@ -175,10 +175,7 @@ def _ipc(core, win: dict) -> float:
     A run cut off by max_cycles before the app finished gets the rate it
     retired at since warmup, 0 if it never got past warmup.
     """
-    ipc = core.ipc()
-    if ipc is None:
-        ipc = max(0, core.head - core.warm_pos) / max(1, win["cycle"])
-    return ipc
+    return max(0, min(core.head, core.done_pos) - core.warm_pos) / max(1, win["cycle"])
 
 
 def alone_ipc(config: ExperimentConfig, trace: Trace,
