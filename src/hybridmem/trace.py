@@ -360,8 +360,8 @@ class PageClass:
             raise InvalidSpec("row_hit_prob must be in [0, 1]")
         if self.read_fraction is not None and not 0.0 <= self.read_fraction <= 1.0:
             raise InvalidSpec("read_fraction must be in [0, 1]")
-        if self.weight <= 0:
-            raise InvalidSpec("class weight must be > 0")
+        if not 0 < self.weight < float("inf"):   # NaN fails too
+            raise InvalidSpec(f"class weight must be finite and > 0, not {self.weight}")
         if self.burst > self.pages:
             raise InvalidSpec("burst cannot exceed the class page count")
 
@@ -381,8 +381,9 @@ class SynthSpec:
     interleave: str = "weighted"  # or "round_robin"
 
     def validate(self):
-        if self.target_mpki <= 0:
-            raise InvalidSpec("target MPKI must be > 0")
+        # Each access is itself an instruction, so no trace exceeds 1000 MPKI.
+        if not 0 < self.target_mpki <= 1000:   # NaN fails too
+            raise InvalidSpec(f"target MPKI must be in (0, 1000], not {self.target_mpki}")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise InvalidSpec("read_fraction must be in [0, 1]")
         if not self.classes:
@@ -441,8 +442,6 @@ def generate(spec: SynthSpec, accesses: int) -> Trace:
     # Instructions owed per access so total instructions hit the MPKI
     # target; each access itself counts as one instruction.
     per_access = 1000.0 / spec.target_mpki - 1.0
-    if per_access < 0:
-        per_access = 0.0
 
     gaps, addrs, kinds = [], [], bytearray()
     owed = 0.0

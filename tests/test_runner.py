@@ -199,14 +199,22 @@ def test_cli_rejects_a_negative_debug_pages_count(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--mpki", "0"], "target MPKI must be > 0"),
-    (["--preset", "three-page", "--mpki", "0"], "target MPKI must be > 0"),
+    (["--mpki", "0"], "target MPKI must be in (0, 1000], not 0.0"),
+    (["--preset", "three-page", "--mpki", "0"],
+     "target MPKI must be in (0, 1000], not 0.0"),
+    (["--mpki", "nan"], "target MPKI must be in (0, 1000], not nan"),
+    (["--mpki", "inf"], "target MPKI must be in (0, 1000], not inf"),
+    (["--mpki", "1001"], "target MPKI must be in (0, 1000], not 1001.0"),
+    (["--page-class", "pages=4,weight=nan"],
+     "class weight must be finite and > 0, not nan"),
+    (["--page-class", "pages=4,weight=inf"],
+     "class weight must be finite and > 0, not inf"),
     (["--page-class", "pages"], "class field 'pages' needs a value"),
     (["--page-class", "pages=64,weight="], "class field 'weight' needs a value"),
     (["--page-class", "pages=x"], "class field 'pages' needs int value, got 'x'"),
     (["--page-class", "colour=red"], "unknown class field 'colour'"),
-], ids=["mpki-0", "three-page-mpki-0", "no-value", "empty-value", "not-an-int",
-        "unknown-field"])
+], ids=["mpki-0", "three-page-mpki-0", "mpki-nan", "mpki-inf", "mpki-1001", "weight-nan",
+        "weight-inf", "no-value", "empty-value", "not-an-int", "unknown-field"])
 def test_cli_tracegen_rejects_a_bad_spec(tmp_path, capsys, flags, message):
     out = tmp_path / "t.hmt"
     assert cli.main(["tracegen", "--out", str(out), "--accesses", "100", *flags]) == 1
