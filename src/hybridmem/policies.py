@@ -16,8 +16,6 @@ from typing import NamedTuple
 
 from .ubm import StatStore, gap_stall_reduction
 
-POLICY_NAMES = ("all", "freq", "rbla", "ubm-st", "ubm")
-
 PROMOTE = "promote"
 STAY = "stay"
 
@@ -50,9 +48,6 @@ class AllPolicy(PlacementPolicy):
     name = "all"
     uses_threshold = False
     uses_page_stats = False
-
-    def score(self, page_id, store, ctx):
-        return 1.0
 
     def decide(self, page_id, store, ctx, threshold):
         return PolicyDecision(page_id, PROMOTE, 1.0)
@@ -99,13 +94,10 @@ class UtilityPolicy(PlacementPolicy):
                    for e in store.entries_for_page(page_id))
 
 
-_POLICIES = {
-    "all": AllPolicy,
-    "freq": FreqPolicy,
-    "rbla": RblaPolicy,
-    "ubm-st": StallTimePolicy,
-    "ubm": UtilityPolicy,
-}
+# Each policy is declared once, by its class: in definition order, which
+# POLICY_NAMES keeps.
+_POLICIES = {cls.name: cls for cls in PlacementPolicy.__subclasses__()}
+POLICY_NAMES = tuple(_POLICIES)
 
 
 def make_policy(kind: str) -> PlacementPolicy:
