@@ -87,12 +87,18 @@ class AppCore:
 
     def _record_markers(self, old_head: int, new_head: int, seg_start: int):
         """Report the markers that the head, moving from `old_head` at
-        cycle `seg_start` to `new_head`, crosses; it crosses `next_marker`."""
+        cycle `seg_start` to `new_head`, crosses; it crosses `next_marker`.
+
+        The warm marker is stamped with the cycle in which its instruction
+        starts retiring, rounded down, and the done marker with the cycle
+        that retires its instruction, rounded up; so the measured window
+        never comes out shorter than its instructions at the retire width.
+        """
         w = self.RETIRE_WIDTH
         if self.next_marker == self.warm_pos:
             self.next_marker = self.done_pos
             self.sim.on_app_marker(
-                self, "warm", seg_start + _ceil_div(self.warm_pos - old_head, w))
+                self, "warm", seg_start + (self.warm_pos - old_head) // w)
         if self.next_marker <= new_head:
             self.next_marker = float("inf")
             self.sim.on_app_marker(
