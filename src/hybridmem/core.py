@@ -86,8 +86,8 @@ class AppCore:
         return stop
 
     def _record_markers(self, old_head: int, new_head: int, seg_start: int):
-        """Report the markers that the head, moving from `old_head` at
-        cycle `seg_start` to `new_head`, crosses; it crosses `next_marker`.
+        """Report each marker the head crosses moving from `old_head`, at
+        cycle `seg_start`, to `new_head`, which reaches `next_marker`.
 
         The warm marker is stamped with the cycle in which its instruction
         starts retiring, rounded down, and the done marker with the cycle

@@ -55,7 +55,8 @@ from .migration import MigrationEngine, TagStore
 from .policies import PROMOTE, make_policy
 from .ubm import HotPageCounters, StatStore, ThresholdController
 
-# Event priorities (within one cycle).
+# Event priorities (within one cycle). The service phase, which is not an
+# event, runs between the core and quantum events (see `run`).
 _EV_COMPLETE = 0
 _EV_INJECT = 1
 _EV_CORE = 2
@@ -514,7 +515,8 @@ class Simulation:
             self.cycle = t
             # The cycle's completion, injection and core events in
             # (priority, push) order, then its service phase, then its
-            # quantum event. The phase pushes nothing into its own cycle.
+            # quantum event. The phase pushes nothing into its own cycle:
+            # every delay it schedules is at least one cycle.
             while heap[0][0] == t and heap[0][1] < _EV_QUANTUM and not self.finished:
                 _, prio, _, payload = heappop(heap)
                 if prio == _EV_COMPLETE:

@@ -213,8 +213,9 @@ def test_cli_rejects_a_negative_debug_pages_count(tmp_path, capsys):
     (["--page-class", "pages=64,weight="], "class field 'weight' needs a value"),
     (["--page-class", "pages=x"], "class field 'pages' needs int value, got 'x'"),
     (["--page-class", "colour=red"], "unknown class field 'colour'"),
-], ids=["mpki-0", "three-page-mpki-0", "mpki-nan", "mpki-inf", "mpki-1001", "weight-nan",
-        "weight-inf", "no-value", "empty-value", "not-an-int", "unknown-field"])
+], ids=["mpki-0", "three-page-mpki-0", "mpki-nan", "mpki-inf", "mpki-1001",
+        "weight-nan", "weight-inf", "no-value", "empty-value", "not-an-int",
+        "unknown-field"])
 def test_cli_tracegen_rejects_a_bad_spec(tmp_path, capsys, flags, message):
     out = tmp_path / "t.hmt"
     assert cli.main(["tracegen", "--out", str(out), "--accesses", "100", *flags]) == 1
