@@ -11,9 +11,7 @@ from .metrics import (
     AppResult, EnergyReport, MissingAloneRun, SimReport, harmonic_speedup,
     normalize_reports, perf_per_watt, unfairness, weighted_speedup,
 )
-from .migration import (
-    MigrationEngine, MigrationError, NotResident, TagStore,
-)
+from .migration import MigrationEngine, TagStore
 from .policies import POLICY_NAMES, PolicyDecision, make_policy
 from .runner import ExperimentConfig, SweepSpec, alone_ipc, run, sweep
 from .simulator import SimConfig, Simulation

@@ -183,9 +183,6 @@ def cmd_tracegen(args) -> int:
     if args.preset == "three-page":
         spec = three_page_spec(seed=args.seed,
                                mpki=2.0 if args.mpki is None else args.mpki)
-    elif args.preset:
-        print(f"unknown preset {args.preset!r}", file=sys.stderr)
-        return 2
     else:
         classes = tuple(_parse_class(c) for c in (args.page_class or []))
         if not classes:
@@ -259,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("tracegen", help="generate a synthetic trace")
     pt.add_argument("--out", required=True, help="output file (.hmt or .hmtx)")
-    pt.add_argument("--preset", help="named scenario (three-page)")
+    pt.add_argument("--preset", choices=("three-page",), help="named scenario")
     pt.add_argument("--name", default="synth")
     pt.add_argument("--accesses", type=int, default=100_000)
     pt.add_argument("--mpki", type=float)

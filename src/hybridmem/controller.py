@@ -69,11 +69,6 @@ class MemRequest:
         self.mig_block = -1
         self.done = False
 
-    @property
-    def would_hit(self) -> bool:
-        """Whether the row was open at arrival, where interference counts."""
-        return self.snap_opens >= 0
-
 
 @dataclass(frozen=True)
 class ControllerConfig:

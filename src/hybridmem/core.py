@@ -11,6 +11,11 @@ drained behind a gated write also counts as stall time.
 Between memory events both pointers move linearly at the retire width, so
 the core advances in closed-form segments rather than cycle by cycle.
 Boundary cycles with partial retirement count as unstalled.
+
+A core schedules its own wakes: at the cycle its free tail reaches the next
+memory op, a full window frees a slot, or its free head reaches a marker,
+it pushes one through `Simulation._push` unless an earlier or equal one is
+pending (`next_wake`). Completions and injections wake a blocked core.
 """
 
 from __future__ import annotations
@@ -22,15 +27,23 @@ from .device import READ, WRITE
 STALL_NONE = 0
 STALL_HEAD = 1   # incomplete read at the head of the window
 STALL_WB = 2     # pipeline drained behind a write awaiting a buffer slot
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+EV_CORE = 2      # heap priority of a core's wake (see `simulator`)
 
 
 class AppCore:
-    # `bench/spans.py` times `run_to`, `advance` and `on_read_complete` by
-    # replacing them on this class, so each must stay a method defined here.
+    """One application's core; slots keep its attribute loads fast.
+
+    `bench/spans.py` times `run_to`, `advance` and `on_read_complete` by
+    replacing them on this class, so each must stay a method defined here.
+    """
+
+    __slots__ = (
+        "sim", "app_id", "name", "gaps", "addrs", "kinds", "n_events", "idx",
+        "rob_capacity", "mshr_capacity", "cycle", "head", "tail",
+        "next_mem_pos", "window_reads", "pending_inject", "outstanding_reads",
+        "tail_block", "head_pin", "next_wake", "stall_mode", "stall_anchor",
+        "stall_page", "t_stall", "warm_pos", "done_pos", "next_marker",
+    )
     RETIRE_WIDTH = 3
 
     def __init__(self, sim, app_id: int, trace, rob_capacity: int,
@@ -61,7 +74,7 @@ class AppCore:
         self.outstanding_reads = 0     # MSHR occupancy, dispatch -> completion
         self.tail_block = None         # None | 'mshr' | 'gate' | 'rob'
         self.head_pin = None           # request the head is blocked on
-        self.next_wake = None          # earliest pending simulator wake
+        self.next_wake = float("inf")  # earliest pending wake event
 
         # Stall accounting: one open span at a time, settled on transitions.
         self.stall_mode = STALL_NONE
@@ -76,14 +89,6 @@ class AppCore:
         self.next_marker = self.warm_pos if warmup_instructions else self.done_pos
 
     # -- trajectory pieces ----------------------------------------------------
-
-    def _head_stop(self):
-        """Position where the head must pause next (None = unbounded)."""
-        wr = self.window_reads
-        stop = wr[0][0] if wr else None
-        if self.tail_block is not None:
-            stop = self.tail if stop is None else min(stop, self.tail)
-        return stop
 
     def _record_markers(self, old_head: int, new_head: int, seg_start: int):
         """Report each marker the head crosses moving from `old_head`, at
@@ -102,7 +107,7 @@ class AppCore:
         if self.next_marker <= new_head:
             self.next_marker = float("inf")
             self.sim.on_app_marker(
-                self, "done", seg_start + _ceil_div(self.done_pos - old_head, w))
+                self, "done", seg_start - (old_head - self.done_pos) // w)
 
     def _try_dispatch(self):
         """Admit instructions at the tail; dispatch memory ops while possible."""
@@ -131,6 +136,7 @@ class AppCore:
         self.tail_block = None
 
     def _refresh_stall(self):
+        # Skipped while the head is free short of the tail and no span is open.
         mode = STALL_NONE
         page = -1
         if self.head_pin is not None:
@@ -183,7 +189,8 @@ class AppCore:
             if tail_block is not None and (stop is None or tail < stop):
                 stop = tail
             head_free = self.head_pin is None
-            self._refresh_stall()
+            if not head_free or head == tail or self.stall_mode:
+                self._refresh_stall()
 
             t_next = now
             if head_free and stop is not None and stop > head:
@@ -220,10 +227,8 @@ class AppCore:
                         self._record_markers(head, new_head, cycle)
                     self.head = new_head
             self.cycle = t_next
-        self.settle_open_spans()
-
-    def settle_open_spans(self):
-        if self.stall_mode != STALL_NONE:
+        # Settle the open stall span, so it is always settled up to `cycle`.
+        if self.stall_mode:
             self.settle_stall(self.cycle)
 
     # -- wakeups --------------------------------------------------------------
@@ -239,39 +244,49 @@ class AppCore:
             wr.popleft()
         if self.head_pin is req:
             self.head_pin = None
-        if self.tail == self.next_mem_pos:
-            self._try_dispatch()
-        self._refresh_stall()
-        self.schedule_next()
+        self._resume()
 
     def run_to(self, now: int):
         """Advance to `now`, perform due dispatches, plan the next wake."""
         if now > self.cycle:
             self.advance(now)
+        self._resume()
+
+    def _resume(self):
+        """Due dispatches, the stall mode and the next wake."""
         if self.tail == self.next_mem_pos:
             self._try_dispatch()
-        self._refresh_stall()
-        self.schedule_next()
-
-    def schedule_next(self):
+        head, tail = self.head, self.tail
+        if self.head_pin is not None or head == tail or self.stall_mode:
+            self._refresh_stall()
         w = self.RETIRE_WIDTH
-        cycle, head = self.cycle, self.head
+        cycle = self.cycle
         if self.tail_block is None:
             # After a dispatch attempt a free tail is short of the next op.
-            self.sim.schedule_core(self, cycle - (self.tail - self.next_mem_pos) // w)
+            t = cycle - (tail - self.next_mem_pos) // w
+            if t < self.next_wake:
+                self.next_wake = t
+                self.sim._push(t, EV_CORE, self)
         if self.head_pin is not None:
             return
         # Free head runs that need a proactive wake unless a head stop cuts
         # them short: a full window draining until dispatch resumes, and a
         # run toward an uncrossed marker (a blocked core is woken by
         # completions and injections).
-        rob_need = (self.tail - self.rob_capacity + 1
+        rob_need = (tail - self.rob_capacity + 1
                     if self.tail_block == "rob" else head)
         marker = self.next_marker
-        if marker > self.tail:
+        if marker > tail:
             marker = head
         if rob_need > head or marker > head:
-            stop = self._head_stop()
+            # Head stop: the oldest incomplete read, else a blocked tail.
+            wr = self.window_reads
+            stop = wr[0][0] if wr else None
+            if self.tail_block is not None and (stop is None or tail < stop):
+                stop = tail
             for target in (rob_need, marker):
                 if target > head and (stop is None or stop >= target):
-                    self.sim.schedule_core(self, cycle - (head - target) // w)
+                    t = cycle - (head - target) // w
+                    if t < self.next_wake:
+                        self.next_wake = t
+                        self.sim._push(t, EV_CORE, self)

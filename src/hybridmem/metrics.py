@@ -218,9 +218,13 @@ def _fields_of(cls, data, what: str) -> dict:
 def normalize_reports(reports, baseline_policy: str = "all"):
     """Per-metric ratios against a named baseline policy's report.
 
-    Returns {policy: {metric: normalized value}} for the speedup metrics.
+    Returns {policy: {metric: normalized value}} for the speedup metrics,
+    so it takes one report per policy.
     """
-    by_policy = {r.policy: r for r in reports}
+    by_policy = {}
+    for r in reports:
+        if by_policy.setdefault(r.policy, r) is not r:
+            raise ValueError(f"more than one report of policy {r.policy!r}")
     if baseline_policy not in by_policy:
         raise ValueError(f"baseline policy {baseline_policy!r} not among reports")
     base = by_policy[baseline_policy]

@@ -30,14 +30,6 @@ TAG_VALID = 0
 TAG_MIGRATING = 1
 
 
-class MigrationError(Exception):
-    pass
-
-
-class NotResident(MigrationError):
-    pass
-
-
 class TagStore:
     """Set-associative residency tags for the DRAM page cache."""
 
@@ -53,13 +45,13 @@ class TagStore:
         return self.sets[page_id % self.num_sets]
 
     def resident(self, page_id: int) -> bool:
-        return self._set_of(page_id).get(page_id) == TAG_VALID
+        return self.sets[page_id % self.num_sets].get(page_id) == TAG_VALID
 
     def touch(self, page_id: int):
-        s = self._set_of(page_id)
-        if s.get(page_id) != TAG_VALID:
-            raise NotResident(f"page {page_id} is not DRAM-resident")
-        s.move_to_end(page_id)
+        """Make a resident page its set's most recently used; else a no-op."""
+        s = self.sets[page_id % self.num_sets]
+        if s.get(page_id) == TAG_VALID:
+            s.move_to_end(page_id)
 
     def has_free_way(self, page_id: int) -> bool:
         return len(self._set_of(page_id)) < self.associativity
@@ -167,7 +159,9 @@ class MigrationEngine:
         # Keep the call (see `MigrationJob.location`).
         if job is not None:
             return job.location(page_id, block)
-        return DRAM_CHANNEL if self.tag.resident(page_id) else NVM_CHANNEL
+        tag = self.tag
+        return (DRAM_CHANNEL if tag.sets[page_id % tag.num_sets].get(page_id) == TAG_VALID
+                else NVM_CHANNEL)
 
     # -- triggering -----------------------------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .ubm import StatStore, gap_stall_reduction
+from .ubm import StatStore, page_stall_reduction
 
 PROMOTE = "promote"
 STAY = "stay"
@@ -77,8 +77,8 @@ class StallTimePolicy(PlacementPolicy):
     name = "ubm-st"
 
     def score(self, page_id, store, ctx):
-        return sum(gap_stall_reduction(e, ctx.latency_gaps)
-                   for e in store.entries_for_page(page_id))
+        return page_stall_reduction(store.entries_for_page(page_id),
+                                    ctx.latency_gaps)
 
 
 class UtilityPolicy(PlacementPolicy):
@@ -88,9 +88,8 @@ class UtilityPolicy(PlacementPolicy):
     name = "ubm"
 
     def score(self, page_id, store, ctx):
-        return sum(gap_stall_reduction(e, ctx.latency_gaps)
-                   * ctx.sensitivity(e.app_id)
-                   for e in store.entries_for_page(page_id))
+        return page_stall_reduction(store.entries_for_page(page_id),
+                                    ctx.latency_gaps, ctx.sensitivities)
 
 
 # Each policy is declared once, by its class: in definition order, which

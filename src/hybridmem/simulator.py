@@ -7,7 +7,8 @@ injections, core dispatches, then a service phase (parked-request retries,
 migration pumping, one command issue per channel), then quantum
 bookkeeping. MLP sampling runs on a fixed period and is batched across
 event gaps, which is exact because outstanding-request state only changes
-at events.
+at events. Each core pushes its own wakes through `_push`, only ones
+earlier than its pending wake (`AppCore.next_wake`), which the loop clears.
 
 No event is ever scheduled before the current cycle (`_push` raises), so
 simulated time only moves forward. The service phase is not a heap event:
@@ -56,10 +57,10 @@ from .policies import PROMOTE, make_policy
 from .ubm import HotPageCounters, StatStore, ThresholdController
 
 # Event priorities (within one cycle). The service phase, which is not an
-# event, runs between the core and quantum events (see `run`).
+# event, runs between the cores' own wakes (`core.EV_CORE`) and the quantum
+# events (see `run`).
 _EV_COMPLETE = 0
 _EV_INJECT = 1
-_EV_CORE = 2
 _EV_QUANTUM = 3
 
 
@@ -139,7 +140,7 @@ class Simulation:
         "store", "hot", "threshold", "latency_gaps", "cores", "outstanding",
         "_delay_anchor", "t_delay", "t_interference", "t_outstanding",
         "app_reads", "app_writes", "app_row_hits", "app_row_misses",
-        "_sensitivity", "_quantum_snaps", "_marker_snaps", "_done_count",
+        "sensitivities", "_quantum_snaps", "_marker_snaps", "_done_count",
         "page_stall", "quantum_log", "quantum_index", "_next_req_id",
         "_phase_cycle", "_next_sample", "_parked",
         "_free_requests",
@@ -199,8 +200,9 @@ class Simulation:
         self.app_writes = [0] * n
         self.app_row_hits = [0] * n
         self.app_row_misses = [0] * n
-        # Weights from the previous quantum's speedup estimates (1 at first).
-        self._sensitivity = [ubm.sensitivity(1.0, config.quantum_cycles)] * n
+        # Each app's weight in the utility score, by app id: from the previous
+        # quantum's speedup estimate (1 at first).
+        self.sensitivities = [ubm.sensitivity(1.0, config.quantum_cycles)] * n
         # Counter snapshots at the last quantum boundary, and at the warmup
         # and completion markers; every counter is zero at cycle 0, which
         # stands in for an uncrossed warmup marker.
@@ -236,20 +238,6 @@ class Simulation:
                                f"{cycle}, before the current cycle {self.cycle}")
         self._seq += 1
         heapq.heappush(self._heap, (cycle, prio, self._seq, payload))
-
-    def schedule_core(self, core: AppCore, cycle: int):
-        cycle = max(cycle, self.cycle)
-        # Keep only the earliest pending wake per core; later duplicates are
-        # re-derived when that wake fires.
-        if core.next_wake is not None and core.next_wake <= cycle:
-            return
-        core.next_wake = cycle
-        self._push(cycle, _EV_CORE, core)
-
-    # -- scoring interface for the policy ------------------------------------
-
-    def sensitivity(self, app_id: int) -> float:
-        return self._sensitivity[app_id]
 
     # -- core callbacks -----------------------------------------------------
 
@@ -295,7 +283,7 @@ class Simulation:
             if channel == NVM_CHANNEL:
                 if self.keeps_page_stats:
                     self.hot.on_inject(req.page_id, req.app_id, req.kind == WRITE)
-            elif self.tag.resident(req.page_id):
+            else:
                 self.tag.touch(req.page_id)
         if self._dram.may_issue or self._nvm.may_issue:
             self._phase_cycle = cycle
@@ -444,8 +432,7 @@ class Simulation:
     def _settle(self, cycle: int):
         """Bring every core and every open stall/delay span up to `cycle`."""
         for i, core in enumerate(self.cores):
-            core.advance(cycle)
-            core.settle_open_spans()
+            core.advance(cycle)   # which leaves no stall span unsettled
             self._settle_delay(i, cycle)
 
     def _end_quantum(self, cycle: int):
@@ -459,7 +446,7 @@ class Simulation:
             self._quantum_snaps[i] = snap
             s = ubm.quantize_speedup(ubm.estimate_speedup(
                 win["t_stall"], win["t_interference"], win["t_delay"], q))
-            self._sensitivity[i] = ubm.sensitivity(s, q)
+            self.sensitivities[i] = ubm.sensitivity(s, q)
             speedups.append(s)
             total_stall += win["t_stall"]
         if self.policy.uses_threshold:
@@ -523,9 +510,9 @@ class Simulation:
                     self._complete(payload, t)
                 elif prio == _EV_INJECT:
                     self._arrive(payload, t)
-                else:
-                    if payload.next_wake is not None and payload.next_wake <= t:
-                        payload.next_wake = None
+                else:   # a core's wake
+                    if payload.next_wake <= t:
+                        payload.next_wake = math.inf
                     payload.run_to(t)
             if self._phase_cycle == t and not self.finished:
                 self._phase(t)
@@ -593,7 +580,7 @@ class Simulation:
                 "mlp_ratio_read": r_read,
                 "mlp_ratio_write": r_write,
                 "delta_stall": dstall,
-                "utility": dstall * self.sensitivity(e.app_id),
+                "utility": dstall * self.sensitivities[e.app_id],
             })
         rows.sort(key=lambda r: (-r["utility"], r["page"], r["app"]))
         return rows[:k]

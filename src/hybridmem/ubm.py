@@ -101,6 +101,24 @@ def gap_stall_reduction(entry: PageStats, gaps: tuple[int, int]) -> float:
             + WRITE_CRITICALITY_P * entry.write_misses * d_write * r_write)
 
 
+def page_stall_reduction(entries, gaps: tuple[int, int], weights=None) -> float:
+    """`gap_stall_reduction` summed over a page's entries, each times
+    `weights[app_id]` if given; in one loop, with the same float expression
+    added in the same order, so the sum is exactly equal.
+    """
+    d_read, d_write = gaps
+    total = 0
+    for e in entries:
+        w = e.weight_read
+        r_read = e.acc_read / MLP_ONE / w if w else 0.0
+        w = e.weight_write
+        r_write = e.acc_write / MLP_ONE / w if w else 0.0
+        saved = (e.read_misses * d_read * r_read
+                 + WRITE_CRITICALITY_P * e.write_misses * d_write * r_write)
+        total += saved if weights is None else saved * weights[e.app_id]
+    return total
+
+
 def estimate_speedup(t_stall: int, t_interference: int, t_delay: int,
                      quantum_cycles: int) -> float:
     """Slowdown-corrected speedup estimate for one application's quantum.

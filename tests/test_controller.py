@@ -244,7 +244,7 @@ def test_row_conversion_penalty():
     # Row already switched by the activation of row 8: arrival sees a miss,
     # so no conversion is recorded.
     c2.enqueue(victim, 1)
-    assert not victim.would_hit
+    assert victim.snap_opens == -1       # no would-hit snapshot
 
     c3 = make_controller()
     c3.banks[0].open_for(16, app_id=1)

@@ -171,6 +171,30 @@ def test_normalize_against_baseline():
         normalize_reports([other], "freq")
 
 
+def _two_ubm_reports_and_all():
+    reports = [make_report(policy=p, ipc_alone=a)
+               for p, a in (("ubm", 0.8), ("ubm", 0.5), ("all", 0.8))]
+    for r in reports:
+        r.compute_speedups()
+    return reports
+
+
+def test_normalize_rejects_two_reports_of_one_policy():
+    # Keyed by policy, the table would keep only one of them.
+    with pytest.raises(ValueError, match="more than one report of policy 'ubm'"):
+        normalize_reports(_two_ubm_reports_and_all(), "all")
+
+
+def test_cli_report_rejects_two_reports_of_one_policy(tmp_path, capsys):
+    paths = []
+    for i, r in enumerate(_two_ubm_reports_and_all()):
+        paths.append(tmp_path / f"r{i}.json")
+        paths[-1].write_text(r.to_json())
+    assert cli.main(["report", *map(str, paths), "--baseline", "all"]) == 1
+    assert capsys.readouterr().err == \
+        "error: more than one report of policy 'ubm'\n"
+
+
 def test_energy_total():
     e = EnergyReport(1.0, 2.0, 3.0, 4.0)
     assert e.total_j == 10.0

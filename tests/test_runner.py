@@ -223,6 +223,16 @@ def test_cli_tracegen_rejects_a_bad_spec(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+def test_cli_tracegen_rejects_an_unknown_preset(tmp_path, capsys):
+    out = tmp_path / "t.hmt"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tracegen", "--out", str(out), "--preset", "bogus"])
+    assert exc.value.code == 2
+    assert "error: argument --preset: invalid choice: 'bogus'" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ini, flags, why", [
     ("", ["--policy", "all"], "policy all reads none"),
     ("migration_enabled = false\n", [], "migration is off"),

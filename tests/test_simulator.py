@@ -3,7 +3,9 @@
 import hashlib
 import json
 import random
+import types
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,11 +138,58 @@ def test_simulation_instances_have_no_dict():
         sim.unlisted = 1
 
 
+def test_core_instances_have_no_dict():
+    for core in Simulation(_small_config(), _spread_mix(read_fraction=0.7)).cores:
+        assert not hasattr(core, "__dict__")
+        with pytest.raises(AttributeError):
+            core.unlisted = 1
+
+
 def test_controller_instances_have_no_dict():
     for ctrl in Simulation(_small_config(), _spread_mix(read_fraction=0.7)).controllers:
         assert not hasattr(ctrl, "__dict__")
         with pytest.raises(AttributeError):
             ctrl.unlisted = 1
+
+
+# -- the benchmark's tracing hooks ----------------------------------------------
+# `bench/spans.py` times each layer by replacing the methods it lists on their
+# classes. A hot path that stops calling one of them (fused into its caller,
+# say) would read 0 in that layer's metrics without failing anything else.
+
+def _bench_spans():
+    """`bench/spans.py`, executed from its source without writing anything."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    module = types.ModuleType("bench_spans")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_every_traced_method_is_defined_on_its_class():
+    spans = _bench_spans()
+    missing = [name for owner, attr, name in spans.TRACED if attr not in vars(owner)]
+    assert not missing
+
+
+def test_every_traced_layer_method_is_called_on_a_short_mix(monkeypatch):
+    spans = _bench_spans()
+    layers = ("core", "policies", "ubm.sample", "ubm.store")
+    calls = {}
+
+    def counting(fn, name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for layer in layers:
+        for owner, attr, name in spans.LAYERS[layer]:
+            calls[name] = 0
+            monkeypatch.setattr(owner, attr, counting(vars(owner)[attr], name))
+    # `ubm` calls every method of these layers but `AllPolicy.decide`.
+    for policy in ("ubm", "all"):
+        assert Simulation(_small_config(policy=policy), _spread_mix(0.7)).run().finished
+    assert not [name for name, n in calls.items() if n == 0]
 
 
 # -- golden reports --------------------------------------------------------------

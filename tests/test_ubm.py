@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hybridmem.device import DRAM_BASELINE, NVM_BASELINE
-from hybridmem.policies import UtilityPolicy
+from hybridmem.policies import StallTimePolicy, UtilityPolicy
 from hybridmem.ubm import (
-    HotPageCounters, MISS_COUNT_MAX, MLP_ONE, MLP_WEIGHT_MAX, PageStats,
+    HotPageCounters, MISS_COUNT_MAX, MLP_ACC_MAX, MLP_ONE, MLP_WEIGHT_MAX, PageStats,
     StatStore, ThresholdController, avg_mlp_ratio, estimate_speedup,
     gap_stall_reduction, latency_gaps, mlp_quotient, quantize_speedup,
     sensitivity,
@@ -175,10 +175,7 @@ class _ScoreContext:
     latency_gaps = (100, 100)
 
     def __init__(self, sens):
-        self.sens = sens
-
-    def sensitivity(self, app_id):
-        return self.sens[app_id]
+        self.sensitivities = sens
 
 
 def _store_with(*entries):
@@ -200,6 +197,38 @@ def test_utility_and_shared_page_aggregation():
     # Shared page: per-application utilities (3e-4 and 2e-4) add.
     shared = _store_with((0, 0, 6, 0), (0, 1, 0, 4))
     assert ubm.score(0, shared, _ScoreContext({0: 5e-7, 1: 5e-7})) == pytest.approx(5e-4)
+
+
+def _counter(top):
+    return st.one_of(st.just(0), st.just(top), st.integers(0, top))
+
+
+_page_entries = st.lists(st.fixed_dictionaries({
+    "read_misses": _counter(MISS_COUNT_MAX), "write_misses": _counter(MISS_COUNT_MAX),
+    "acc_read": _counter(MLP_ACC_MAX), "acc_write": _counter(MLP_ACC_MAX),
+    "weight_read": _counter(MLP_WEIGHT_MAX), "weight_write": _counter(MLP_WEIGHT_MAX),
+    "sensitivity": st.floats(0.0, 1.0),
+}), min_size=2, max_size=6)
+
+
+@given(fields=_page_entries, gaps=st.sampled_from([BASELINE_GAPS, (100, 100), (1, 3)]))
+def test_stall_scores_on_shared_pages_equal_the_reference_sum_exactly(fields, gaps):
+    # The policies score a page in one loop; it must give, bit for bit, the
+    # per-entry reference summed in set order, weighted and unweighted.
+    store = StatStore()
+    for app, f in enumerate(fields):
+        e = store.get_or_alloc(7, app)
+        for name, value in f.items():
+            if name != "sensitivity":
+                setattr(e, name, value)
+    entries = store.entries_for_page(7)
+    assert len(entries) == len(fields)
+    ctx = _ScoreContext([f["sensitivity"] for f in fields])
+    ctx.latency_gaps = gaps
+    assert UtilityPolicy().score(7, store, ctx) == sum(
+        gap_stall_reduction(e, gaps) * ctx.sensitivities[e.app_id] for e in entries)
+    assert StallTimePolicy().score(7, store, ctx) == sum(
+        gap_stall_reduction(e, gaps) for e in entries)
 
 
 # -- speedup estimation ---------------------------------------------------------
