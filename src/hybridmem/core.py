@@ -16,6 +16,12 @@ A core schedules its own wakes: at the cycle its free tail reaches the next
 memory op, a full window frees a slot, or its free head reaches a marker,
 it pushes one through `Simulation._push` unless an earlier or equal one is
 pending (`next_wake`). Completions and injections wake a blocked core.
+
+A core reads its trace's columns in place and replays the trace from the
+start when it runs out. A trace loaded from a `.hmt` file decodes its
+records on demand, so the core holds only a decoded prefix (`n_ready`
+records); dispatch tests for the end of it where it tested for the end of
+the trace, and there fetches the next chunk (`Trace.decode_to`) or wraps.
 """
 
 from __future__ import annotations
@@ -38,7 +44,8 @@ class AppCore:
     """
 
     __slots__ = (
-        "sim", "app_id", "name", "gaps", "addrs", "kinds", "n_events", "idx",
+        "sim", "app_id", "name", "trace", "gaps", "addrs", "kinds", "n_ready",
+        "idx",
         "rob_capacity", "mshr_capacity", "cycle", "head", "tail",
         "next_mem_pos", "window_reads", "pending_inject", "outstanding_reads",
         "tail_block", "head_pin", "next_wake", "stall_mode", "stall_anchor",
@@ -54,11 +61,12 @@ class AppCore:
         self.name = trace.header.app
         if not trace.kinds:
             raise ValueError(f"trace for app {app_id} has no events")
-        # The trace's own columns, shared: the core only reads them.
-        self.gaps = trace.gaps
-        self.addrs = trace.addresses
+        # The trace's own columns, shared: the core only reads them. Only
+        # the first `n_ready` records of `gaps` and `addrs` are decoded yet.
+        self.trace = trace
+        self.gaps, self.addrs = trace.decoded_columns
         self.kinds = trace.kinds
-        self.n_events = len(trace.kinds)
+        self.n_ready = trace.decode_to(0)
         self.idx = 0
 
         self.rob_capacity = rob_capacity
@@ -126,8 +134,12 @@ class AppCore:
             pos = self.next_mem_pos
             self.tail = pos + 1
             self.idx += 1
-            if self.idx == self.n_events:
-                self.idx = 0
+            if self.idx == self.n_ready:
+                # Past the decoded prefix: decode the next chunk, or wrap
+                # once the whole trace is decoded.
+                self.n_ready = self.trace.decode_to(self.idx)
+                if self.idx == self.n_ready:
+                    self.idx = 0
             self.next_mem_pos = self.tail + self.gaps[self.idx]
             req = self.sim.dispatch(self, addr, kind, self.cycle)
             if kind == READ:

@@ -8,11 +8,15 @@ keeps one record per line for hand-written test traces.
 
 In memory a `Trace` holds its records as three columns of equal length:
 `gaps` (an `array` of u32), `addresses` (an `array` of u64) and `kinds`
-(`bytes` of READ/WRITE), in native byte order. The `.hmt` loader fills them
-from the file body with strided slices (byte j of every 13-byte record at
-once), so no Python code runs per record, and the core indexes the columns
-directly. `Trace.events` is a read-only view of the records as
-`TraceEvent` tuples, built on access.
+(`bytes` of READ/WRITE), in native byte order. The `.hmt` loader reads the
+file once, checks every record's length and kind byte, and keeps the body:
+a simulated window usually covers only a prefix of a long trace, so
+`gaps` and `addresses` are decoded from it on demand, in chunks that grow
+geometrically and are appended in place to the same two arrays. A chunk
+is decoded with strided slices (byte j of every 13-byte record at once), so
+no Python code runs per record, and the core indexes the columns directly.
+`Trace.events` is a read-only view of the records as `TraceEvent` tuples,
+built on access.
 
 The generator produces traces from a class-based spec with controllable
 memory intensity (MPKI), row-buffer locality (same-row run lengths), and
@@ -22,6 +26,7 @@ per-page parallelism (back-to-back bursts over distinct pages).
 from __future__ import annotations
 
 import hashlib
+import io
 import random
 import sys
 from array import array
@@ -38,12 +43,20 @@ HEADER_END = "%%"
 # Column typecodes by item size; the C type behind each letter varies by host.
 _GAP_TYPE = next(t for t in "IL" if array(t).itemsize == 4)
 _ADDR_TYPE = next(t for t in "LQ" if array(t).itemsize == 8)
-# Byte offset of each numeric column in a 13-byte `.hmt` record; the kind
-# byte comes last.
-_LAYOUT = ((0, _GAP_TYPE), (4, _ADDR_TYPE))
+# Byte offsets of the gap and address fields in a 13-byte `.hmt` record;
+# the kind byte comes last.
+_FIELD_AT = (0, 4)
 _KIND_AT = 12
 _RECORD_BYTES = 13
 _KINDS = bytes((READ, WRITE))
+# `.hmt` fields are little-endian; on a big-endian host byte j of a field
+# sits at width - 1 - j of the native value.
+_LITTLE = sys.byteorder == "little"
+# A loaded `.hmt` trace decodes _FIRST_CHUNK records first; each later chunk
+# brings the decoded prefix to _CHUNK_GROWTH times its length, or further
+# if the record asked for lies beyond that.
+_FIRST_CHUNK = 512
+_CHUNK_GROWTH = 2
 
 
 class TraceError(Exception):
@@ -98,28 +111,69 @@ def _column(typecode: str, values, name: str) -> array:
         raise TraceError(f"{name} {bad} is outside [0, {top}]") from None
 
 
-@dataclass
 class Trace:
-    """A fully materialized trace (what the simulator consumes).
+    """A trace as the simulator consumes it.
 
-    The columns may be given as any sequences of ints; `from_file` passes
-    ready arrays, which are kept without a copy.
+    The columns may be given as any sequences of ints; arrays of the
+    column types are kept without a copy. `kinds` is always complete, and
+    so are `gaps` and `addresses` as read from outside. A trace loaded
+    from a `.hmt` file keeps the file body and decodes those two from it
+    on demand: `decode_to` appends chunks in place to the arrays that
+    `decoded_columns` returns, and reading `gaps` or `addresses` finishes
+    the decode and returns those same arrays. Traces built in memory or
+    loaded from `.hmtx` are decoded from the start.
     """
 
-    header: TraceHeader
-    gaps: array
-    addresses: array
-    kinds: bytes
+    __slots__ = ("header", "kinds", "_gaps", "_addresses", "_file", "_body_at")
 
-    def __post_init__(self):
-        self.gaps = _column(_GAP_TYPE, self.gaps, "gap")
-        self.addresses = _column(_ADDR_TYPE, self.addresses, "address")
-        self.kinds = bytes(self.kinds)
+    def __init__(self, header: TraceHeader, gaps, addresses, kinds):
+        self.header = header
+        self._gaps = _column(_GAP_TYPE, gaps, "gap")
+        self._addresses = _column(_ADDR_TYPE, addresses, "address")
+        self.kinds = bytes(kinds)
         bad = self.kinds.translate(None, _KINDS)
         if bad:
             raise TraceError(f"kind {bad[0]} is neither READ nor WRITE")
-        if not len(self.gaps) == len(self.addresses) == len(self.kinds):
+        if not len(self._gaps) == len(self._addresses) == len(self.kinds):
             raise TraceError("trace columns differ in length")
+        # A loaded `.hmt` trace's file bytes and the offset of its body.
+        self._file, self._body_at = None, 0
+
+    @property
+    def gaps(self) -> array:
+        self.decode_to(len(self.kinds))
+        return self._gaps
+
+    @property
+    def addresses(self) -> array:
+        self.decode_to(len(self.kinds))
+        return self._addresses
+
+    @property
+    def decoded_columns(self) -> tuple[array, array]:
+        """(gaps, addresses) as decoded so far; `decode_to` grows them in place."""
+        return self._gaps, self._addresses
+
+    def decode_to(self, i: int) -> int:
+        """Decode at least the records up to index `i` (all, past the end).
+
+        Returns the number of records decoded, a prefix of the trace.
+        """
+        done, n = len(self._gaps), len(self.kinds)
+        if done <= i and done < n:
+            end = min(n, max(i + 1, done * _CHUNK_GROWTH, _FIRST_CHUNK))
+            size = _RECORD_BYTES
+            first = self._body_at + done * size
+            last = self._body_at + end * size
+            for start, col in zip(_FIELD_AT, (self._gaps, self._addresses)):
+                width = col.itemsize
+                raw = bytearray((end - done) * width)
+                for j in range(width):
+                    raw[(j if _LITTLE else width - 1 - j)::width] = \
+                        self._file[first + start + j:last:size]
+                col.frombytes(raw)
+            done = end
+        return done
 
     @property
     def events(self) -> "TraceEvents":
@@ -141,15 +195,22 @@ class Trace:
         must stay a classmethod defined here.
 
         Raises MalformedRecord with the byte offset of the first bad record
-        and UnsupportedVersion for unknown magics.
+        and UnsupportedVersion for unknown magics. A `.hmt` body is checked
+        whole here, though its records are decoded on demand.
         """
+        # One read into one bytes object, which the header parse shares.
         with open(path, "rb") as fh:
-            header, offset = _read_header(fh, path)
-            if header.version == MAGIC_BINARY:
-                columns = _binary_columns(fh.read(), path, offset)
-            else:
-                columns = _text_columns(fh, path, offset)
-        return cls(header, *columns)
+            data = fh.read()
+        stream = io.BytesIO(data)
+        header, offset = _read_header(stream, path)
+        if header.version == MAGIC_TEXT:
+            return cls(header, *_text_columns(stream, path, offset))
+        trace = cls.__new__(cls)
+        trace.header = header
+        trace.kinds = _binary_kinds(data, offset, path)
+        trace._gaps, trace._addresses = array(_GAP_TYPE), array(_ADDR_TYPE)
+        trace._file, trace._body_at = data, offset
+        return trace
 
     def save(self, path):
         """Write the trace; the extension picks the format (.hmt or .hmtx)."""
@@ -158,7 +219,7 @@ class Trace:
             fh.write(_format_header(MAGIC_BINARY if binary else MAGIC_TEXT,
                                     self.header))
             if binary:
-                fh.write(self._body())
+                fh.write(self._records())
             else:
                 for g, a, k in zip(self.gaps, self.addresses, self.kinds):
                     fh.write(f"{g} {a:#x} {'R' if k == READ else 'W'}\n".encode("ascii"))
@@ -167,21 +228,21 @@ class Trace:
         h = hashlib.sha256()
         h.update(f"{self.header.app}|{self.header.instructions}|"
                  f"{self.header.address_space}".encode())
-        h.update(self._body())
+        h.update(self._records())
         return h.hexdigest()[:16]
 
-    def _body(self) -> bytearray:
-        """The `.hmt` body: columns interleaved into little-endian records."""
+    def _records(self):
+        """The `.hmt` body: a loaded file's own bytes, else the columns
+        interleaved into little-endian records."""
+        if self._file is not None:
+            return memoryview(self._file)[self._body_at:]
         size = _RECORD_BYTES
         body = bytearray(len(self.kinds) * size)
         body[_KIND_AT::size] = self.kinds
-        for (start, _), col in zip(_LAYOUT, (self.gaps, self.addresses)):
-            if sys.byteorder == "big":
-                col = array(col.typecode, col)
-                col.byteswap()
+        for start, col in zip(_FIELD_AT, (self._gaps, self._addresses)):
             raw, width = col.tobytes(), col.itemsize
             for j in range(width):
-                body[start + j::size] = raw[j::width]
+                body[start + j::size] = raw[(j if _LITTLE else width - 1 - j)::width]
         return body
 
 
@@ -270,28 +331,18 @@ def _read_header(fh, path) -> tuple[TraceHeader, int]:
     return header, offset
 
 
-def _binary_columns(body: bytes, path, offset) -> tuple:
-    """Split a `.hmt` body into (gaps, addresses, kinds) columns."""
+def _binary_kinds(data: bytes, offset: int, path) -> bytes:
+    """The kinds column of the `.hmt` body at `offset` of a file's bytes,
+    after checking every record."""
     size = _RECORD_BYTES
-    n, rem = divmod(len(body), size)
+    n, rem = divmod(len(data) - offset, size)
     if rem:
         raise MalformedRecord(path, offset + n * size, "truncated record")
-    kinds = body[_KIND_AT::size]
+    kinds = data[offset + _KIND_AT::size]
     if kinds.translate(None, _KINDS):
-        i, k = next((i, k) for i, k in enumerate(kinds) if k not in _KINDS)
-        raise MalformedRecord(path, offset + i * size, f"bad kind byte {k}")
-    columns = []
-    for start, typecode in _LAYOUT:
-        col = array(typecode)
-        width = col.itemsize
-        raw = bytearray(n * width)
-        for j in range(width):
-            raw[j::width] = body[start + j::size]
-        col.frombytes(raw)
-        if sys.byteorder == "big":
-            col.byteswap()
-        columns.append(col)
-    return (*columns, kinds)
+        i = n - len(kinds.lstrip(_KINDS))   # the first bad kind byte
+        raise MalformedRecord(path, offset + i * size, f"bad kind byte {kinds[i]}")
+    return kinds
 
 
 def _text_columns(fh, path, offset) -> tuple:

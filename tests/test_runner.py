@@ -11,7 +11,7 @@ import hybridmem
 from hybridmem import cli, runner
 from hybridmem.runner import ExperimentConfig, load_experiment_config
 from hybridmem.simulator import RunSettings, SimConfig
-from hybridmem.trace import PageClass, SynthSpec, generate
+from hybridmem.trace import PageClass, SynthSpec, Trace, generate
 
 SRC = Path(hybridmem.__file__).resolve().parent
 
@@ -151,6 +151,13 @@ def test_bad_trace_header_fails_with_path_and_key(tmp_path, capsys):
     assert cli.main(["run", "--trace", str(trace), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {trace}: ") and "instructions='ten'" in err
+
+
+def test_run_of_a_trace_without_records_fails_with_clear_message(tmp_path, capsys):
+    trace = tmp_path / "empty.hmt"
+    trace.write_bytes(b"HMT1\napp=x\ninstructions=10\naddress_space=8192\n%%\n")
+    assert cli.main(["run", "--trace", str(trace), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: trace for app 0 has no events\n"
 
 
 # -- CLI -------------------------------------------------------------------------
@@ -310,6 +317,19 @@ def test_no_imports_inside_functions(module):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not offenders, f"import inside a function body: {offenders}"
+
+
+def test_only_the_trace_module_reads_a_traces_private_state():
+    # A loaded trace decodes its records on demand; code elsewhere that read
+    # its body or decode state would see a part of the trace, or none.
+    private = {name for name in Trace.__slots__ if name.startswith("_")}
+    offenders = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "trace.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    assert private and not offenders, f"private Trace state read: {offenders}"
 
 
 def test_every_slot_is_read():

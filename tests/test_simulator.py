@@ -20,7 +20,7 @@ from hybridmem.policies import POLICY_NAMES, UtilityPolicy
 from hybridmem.runner import ExperimentConfig
 from hybridmem.simulator import SimConfig, Simulation
 from hybridmem.trace import (
-    PageClass, SynthSpec, Trace, TraceHeader, generate,
+    _FIRST_CHUNK, PageClass, SynthSpec, Trace, TraceHeader, generate,
 )
 from hybridmem.ubm import HotPageCounters
 
@@ -200,13 +200,23 @@ def _digest(report) -> str:
     return hashlib.sha256(report.to_json().encode()).hexdigest()[:16]
 
 
-def test_golden_write_heavy_all():
-    trace = generate(_gated_write_spec(1), 1000)
-    report = runner.run(_gated_write_config(), traces=[trace])
-    assert _digest(report) == "a77bf7998aa77e4e"
+def _reloaded(traces, tmp_path):
+    """`traces` saved as `.hmt` files and loaded back, their records undecoded."""
+    paths = [tmp_path / f"app{i}.hmt" for i in range(len(traces))]
+    for trace, path in zip(traces, paths):
+        trace.save(path)
+    return [Trace.from_file(path) for path in paths]
 
 
-def test_golden_read_only_ubm():
+def test_golden_write_heavy_all(tmp_path):
+    # In memory, then through the `.hmt` loader, which decodes on demand.
+    traces = [generate(_gated_write_spec(1), 1000)]
+    for mix in (traces, _reloaded(traces, tmp_path)):
+        report = runner.run(_gated_write_config(), traces=mix)
+        assert _digest(report) == "a77bf7998aa77e4e"
+
+
+def test_golden_read_only_ubm(tmp_path):
     traces = [generate(SynthSpec(name=f"app{i}", target_mpki=20.0 + 10 * i,
                                  read_fraction=1.0, seed=i, first_page=300 * i,
                                  classes=(PageClass(pages=256, burst=2, row_hit_prob=0.3),
@@ -214,9 +224,34 @@ def test_golden_read_only_ubm():
               for i in range(2)]
     config = ExperimentConfig(policy="ubm", dram_bytes=1 << 20, nvm_bytes=16 << 20,
                               quantum_cycles=5000, measured_instructions=30_000)
-    report = runner.run(config, traces=traces)
-    assert report.apps[0].ipc_shared > 0
-    assert _digest(report) == "20a082909f476688"
+    for mix in (traces, _reloaded(traces, tmp_path)):
+        report = runner.run(config, traces=mix)
+        assert report.apps[0].ipc_shared > 0
+        assert _digest(report) == "20a082909f476688"
+
+
+def test_loaded_long_trace_runs_as_in_memory_and_decodes_a_prefix(tmp_path):
+    # Each trace spans at least 20 measured windows (600 accesses per window
+    # for app 0, 360 for app 1).
+    config = _small_config(policy="ubm")
+    traces = _spread_mix(0.7, accesses=12_000)
+    loaded = _reloaded(traces, tmp_path)
+    digest = _state_digest(Simulation(config, traces).run())
+    assert _state_digest(Simulation(config, loaded).run()) == digest
+    assert all(len(t.decoded_columns[0]) < t.accesses for t in loaded)
+
+
+def test_loaded_short_trace_wraps_across_a_chunk_boundary(tmp_path):
+    # Both cores replay one loaded trace of a first chunk and a short second
+    # one: each core decodes or finds decoded the chunk past its index, and
+    # wraps only at the end of the trace.
+    config = _small_config(policy="ubm", measured_instructions=40_000)
+    traces = _spread_mix(0.7, accesses=_FIRST_CHUNK + 100)[:1]
+    loaded = _reloaded(traces, tmp_path)
+    sim = Simulation(config, loaded * 2).run()
+    assert sim.finished
+    assert all(core.head > loaded[0].header.instructions for core in sim.cores)
+    assert _state_digest(sim) == _state_digest(Simulation(config, traces * 2).run())
 
 
 # Digests of the simulation state after sixteen small runs that together
@@ -267,14 +302,14 @@ def _small_config(**fields) -> SimConfig:
                         **fields})
 
 
-def _spread_mix(read_fraction: float):
+def _spread_mix(read_fraction: float, accesses: int = 1500):
     return [generate(SynthSpec(name=f"app{i}", target_mpki=30.0 - 12 * i,
                                read_fraction=read_fraction, seed=7 + i,
                                first_page=400 * i,
                                classes=(PageClass(pages=384, burst=1 + 3 * i,
                                                   row_hit_prob=0.4),
                                         PageClass(pages=24, weight=3.0,
-                                                  row_hit_prob=0.6))), 1500)
+                                                  row_hit_prob=0.6))), accesses)
             for i in range(2)]
 
 

@@ -5,8 +5,9 @@ import pytest
 from hybridmem.core import AppCore
 from hybridmem.device import READ, WRITE
 from hybridmem.trace import (
-    InvalidSpec, MalformedRecord, PageClass, SynthSpec, Trace, TraceError,
-    TraceEvent, TraceHeader, UnsupportedVersion, generate, three_page_spec,
+    _CHUNK_GROWTH, _FIRST_CHUNK, InvalidSpec, MalformedRecord, PageClass,
+    SynthSpec, Trace, TraceError, TraceEvent, TraceHeader, UnsupportedVersion,
+    generate, three_page_spec,
 )
 
 
@@ -72,11 +73,16 @@ def test_unsupported_version(tmp_path):
 
 
 def test_bad_kind_byte_offset(tmp_path):
+    # The bad byte is in the last record, deep in a long trace too; the
+    # loader checks every record before it decodes any.
     path = tmp_path / "t.hmt"
-    body = struct.pack("<IQB", 1, 0, 7)
-    path.write_bytes(b"HMT1\napp=x\ninstructions=2\naddress_space=8192\n%%\n" + body)
-    with pytest.raises(MalformedRecord):
-        Trace.from_file(path)
+    head = b"HMT1\napp=x\ninstructions=10000000\naddress_space=8192\n%%\n"
+    for records in (1, 100_000):
+        path.write_bytes(head + struct.pack("<IQB", 1, 0, READ) * (records - 1)
+                         + struct.pack("<IQB", 1, 0, 7))
+        with pytest.raises(MalformedRecord, match="bad kind byte 7") as err:
+            Trace.from_file(path)
+        assert err.value.offset == len(head) + (records - 1) * 13
 
 
 def test_generator_deterministic():
@@ -204,11 +210,43 @@ def test_generated_hmt_resaves_byte_identically(tmp_path):
     assert second.read_bytes() == first.read_bytes()
 
 
-def test_digest_is_pinned():
+def test_digest_is_pinned(tmp_path):
     # Alone-run cache keys; recorded when records were packed one by one.
-    assert generate(make_spec(), 1000).digest() == "da171a1f986015e7"
-    trace = generate(make_spec(seed=5, read_fraction=0.5), 1000)
-    assert trace.digest() == "9af39c3b89e2ce5a"
+    pinned = {make_spec(): "da171a1f986015e7",
+              make_spec(seed=5, read_fraction=0.5): "9af39c3b89e2ce5a"}
+    first, second = tmp_path / "a.hmt", tmp_path / "b.hmt"
+    for spec, digest in pinned.items():
+        assert generate(spec, 1000).digest() == digest
+        # A loaded trace hashes and saves its stored body, decoding no more.
+        generate(spec, 1000).save(first)
+        back = Trace.from_file(first)
+        decoded = back.decode_to(0)
+        assert back.digest() == digest
+        back.save(second)
+        assert second.read_bytes() == first.read_bytes()
+        assert len(back.decoded_columns[0]) == decoded < back.accesses
+
+
+def test_hmt_records_decode_in_growing_chunks(tmp_path):
+    trace = generate(make_spec(seed=5, read_fraction=0.5), 3000)
+    trace.save(tmp_path / "t.hmt")
+    back = Trace.from_file(tmp_path / "t.hmt")
+    gaps, addresses = back.decoded_columns
+    assert len(gaps) == len(addresses) == 0
+    counts = [back.decode_to(0)]
+    while counts[-1] < back.accesses:
+        assert back.decode_to(counts[-1] - 1) == counts[-1]   # already decoded
+        counts.append(back.decode_to(counts[-1]))
+        assert gaps.tolist() == trace.gaps[:counts[-1]].tolist()
+        assert addresses.tolist() == trace.addresses[:counts[-1]].tolist()
+    assert counts == [_FIRST_CHUNK * _CHUNK_GROWTH ** k for k in range(3)] + [3000]
+    assert back.decode_to(3000) == 3000
+    # A record far ahead is decoded in one chunk; the columns finish in place.
+    again = Trace.from_file(tmp_path / "t.hmt")
+    assert again.decode_to(2000) == 2001
+    gaps, addresses = again.decoded_columns
+    assert again.gaps is gaps and again.addresses is addresses
+    assert len(gaps) == 3000 and again.events == trace.events
 
 
 def test_events_view_length_and_records():
@@ -220,12 +258,17 @@ def test_events_view_length_and_records():
     assert events[1:3] == list(events)[1:3]
 
 
-def test_core_shares_trace_columns():
-    trace = generate(make_spec(), 100)
-    core = AppCore(None, 0, trace, 128, 32, 0, 1_000_000)
-    assert core.gaps is trace.gaps
-    assert core.addrs is trace.addresses
-    assert core.kinds is trace.kinds
+def test_core_shares_trace_columns(tmp_path):
+    generate(make_spec(), 2000).save(tmp_path / "t.hmt")
+    for trace, ready in ((generate(make_spec(), 2000), 2000),
+                         (Trace.from_file(tmp_path / "t.hmt"), _FIRST_CHUNK)):
+        core = AppCore(None, 0, trace, 128, 32, 0, 1_000_000)
+        assert core.n_ready == len(core.gaps) == ready
+        # Reading the whole columns finishes the decode in the core's arrays.
+        assert core.gaps is trace.gaps
+        assert core.addrs is trace.addresses
+        assert core.kinds is trace.kinds
+        assert len(core.gaps) == len(core.addrs) == 2000
 
 
 @pytest.mark.parametrize("record, reason", [
