@@ -1,0 +1,119 @@
+"""Unit tests of the DRAM tag store and the migration engine's promotion queue."""
+
+from hybridmem.device import READ, DeviceGeometry
+from hybridmem.migration import TagStore
+from hybridmem.simulator import SimConfig, Simulation
+from hybridmem.trace import Trace, TraceHeader
+
+# A 4-way store of two sets: pages 0, 2, 4, 6 and 8 all map to set 0.
+SET0 = (0, 2, 4, 6)
+
+
+def _preloaded(*pages) -> TagStore:
+    tag = TagStore(8, 4)
+    for page in pages:
+        tag.reserve(page)
+        tag.finalize(page)
+    return tag
+
+
+def _lru_order(tag: TagStore, page: int) -> list:
+    """Empty `page`'s set by evicting its LRU page each time; the pages in order."""
+    order = []
+    while (victim := tag.lru_victim(page)) is not None:
+        order.append(victim)
+        tag.remove(victim)
+    return order
+
+
+def test_touch_makes_a_page_most_recently_used():
+    tag = _preloaded(*SET0)
+    assert tag.lru_victim(8) == 0
+    tag.touch(0)
+    tag.touch(4)
+    assert _lru_order(tag, 8) == [2, 6, 0, 4]
+
+
+def test_touch_of_a_page_not_resident_changes_nothing():
+    tag = _preloaded(0, 2)
+    tag.reserve(4)
+    tag.touch(4)
+    tag.touch(6)
+    assert not tag.resident(4) and not tag.resident(6)
+    assert _lru_order(tag, 0) == [0, 2]
+
+
+def test_lru_victim_skips_reserved_ways():
+    tag = TagStore(8, 4)
+    tag.reserve(0)
+    tag.reserve(2)
+    tag.finalize(2)
+    assert tag.lru_victim(4) == 2
+    for page in (4, 6):
+        tag.reserve(page)
+    assert tag.lru_victim(4) == 2
+    tag.remove(2)
+    assert tag.lru_victim(4) is None   # every way reserved
+
+
+def test_has_free_way_counts_reserved_ways():
+    tag = _preloaded(0)
+    tag.reserve(2)
+    tag.reserve(4)
+    assert tag.has_free_way(6)
+    tag.reserve(6)
+    assert not tag.has_free_way(8)
+    assert tag.has_free_way(1)         # the other set is empty
+    assert not any(tag.resident(p) for p in (2, 4, 6))
+
+
+def test_preload_makes_its_page_resident_and_most_recently_used():
+    tag = _preloaded(0, 2)
+    tag.reserve(4)
+    tag.touch(0)                       # while 4 is reserved
+    tag.finalize(4)
+    assert tag.resident(4)
+    assert _lru_order(tag, 4) == [2, 0, 4]
+
+
+def test_remove_frees_a_way():
+    tag = _preloaded(*SET0)
+    assert not tag.has_free_way(8)
+    tag.remove(4)
+    assert tag.has_free_way(8) and not tag.resident(4)
+    assert _lru_order(tag, 8) == [0, 2, 6]
+
+
+# -- promotion queue ---------------------------------------------------------------
+
+def _idle_engine():
+    """The engine of an unrun simulation with a 2-way tag store, whose one
+    app issues nothing; pages `_same_set(i)` all map to one set."""
+    idle = Trace(TraceHeader("idle", 10**9, 8192), [10**9 - 1], [0], [READ])
+    sim = Simulation(SimConfig(measured_instructions=10**9, tag_associativity=2),
+                     [idle])
+    return sim.engine
+
+
+def _same_set(i: int) -> int:
+    return 7 + i * (DeviceGeometry(512 << 20).pages // 2)
+
+
+def test_request_promotion_of_a_pending_page_is_refused_and_not_dropped():
+    # Two promotions take both ways of the set, so the third waits.
+    engine = _idle_engine()
+    for i in range(3):
+        assert engine.request_promotion(_same_set(i), cycle=0)
+    assert list(engine.pending) == [_same_set(2)]
+    assert not engine.request_promotion(_same_set(2), cycle=0)
+    assert list(engine.pending) == [_same_set(2)] and engine.dropped == 0
+
+
+def test_a_ninth_pending_promotion_is_dropped():
+    engine = _idle_engine()
+    for i in range(10):
+        assert engine.request_promotion(_same_set(i), cycle=0)
+    assert len(engine.jobs) == 2 and len(engine.pending) == 8
+    assert engine.dropped == 0
+    assert not engine.request_promotion(_same_set(10), cycle=0)
+    assert engine.dropped == 1 and len(engine.pending) == 8
