@@ -30,8 +30,10 @@ from collections import deque
 
 from .device import READ, WRITE
 
+# Stall modes: what the open stall span waits on. Only their total,
+# `t_stall`, is counted yet; the mode changes settle the span.
 STALL_NONE = 0
-STALL_HEAD = 1   # incomplete read at the head of the window
+STALL_HEAD = 1   # a read: at the head, parked on a full queue, or on a full MSHR
 STALL_WB = 2     # pipeline drained behind a write awaiting a buffer slot
 EV_CORE = 2      # heap priority of a core's wake (see `simulator`)
 
@@ -49,7 +51,7 @@ class AppCore:
         "rob_capacity", "mshr_capacity", "cycle", "head", "tail",
         "next_mem_pos", "window_reads", "pending_inject", "outstanding_reads",
         "tail_block", "head_pin", "next_wake", "stall_mode", "stall_anchor",
-        "stall_page", "t_stall", "warm_pos", "done_pos", "next_marker",
+        "t_stall", "warm_pos", "done_pos", "next_marker",
     )
     RETIRE_WIDTH = 3
 
@@ -84,10 +86,10 @@ class AppCore:
         self.head_pin = None           # request the head is blocked on
         self.next_wake = float("inf")  # earliest pending wake event
 
-        # Stall accounting: one open span at a time, settled on transitions.
+        # Stall accounting: one open span at a time, from `stall_anchor` in
+        # `stall_mode`, settled into `t_stall` when the mode changes.
         self.stall_mode = STALL_NONE
         self.stall_anchor = 0
-        self.stall_page = -1
         self.t_stall = 0
 
         self.warm_pos = warmup_instructions
@@ -150,27 +152,20 @@ class AppCore:
     def _refresh_stall(self):
         # Skipped while the head is free short of the tail and no span is open.
         mode = STALL_NONE
-        page = -1
         if self.head_pin is not None:
-            mode, page = STALL_HEAD, self.head_pin.page_id
+            mode = STALL_HEAD
         elif self.head == self.tail and self.tail_block == "gate" \
                 and self.pending_inject:
-            blocker = self.pending_inject[0]
-            mode = STALL_WB if blocker.kind == WRITE else STALL_HEAD
-            page = blocker.page_id
+            mode = STALL_WB if self.pending_inject[0].kind == WRITE else STALL_HEAD
         elif self.head == self.tail and self.tail_block == "mshr":
             mode = STALL_HEAD
-            page = self.addrs[self.idx] // self.sim.page_bytes
-        if mode != self.stall_mode or page != self.stall_page:
+        if mode != self.stall_mode:
             self.settle_stall(self.cycle)
             self.stall_mode = mode
-            self.stall_page = page
 
     def settle_stall(self, now: int):
         if self.stall_mode != STALL_NONE and now > self.stall_anchor:
-            span = now - self.stall_anchor
-            self.t_stall += span
-            self.sim.on_stall(self, self.stall_page, span)
+            self.t_stall += now - self.stall_anchor
         self.stall_anchor = now
 
     # -- main advance ---------------------------------------------------------

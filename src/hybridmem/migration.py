@@ -8,6 +8,11 @@ one move at a time, as explicit block-granularity memory traffic: one read
 per cache block from the source device and one write per block to the
 destination, tagged with the reserved system application id.
 
+The tag store holds only the resident pages, and per set the ways that
+started promotions have reserved; the pages that are moving, victims and
+promotions alike, are the engine's `migrating` map. A victim leaves the
+tags when its job starts, and a promoted page joins them when it lands.
+
 During a move each block carries a two-bit location (source device,
 migration buffer, destination device); incoming requests for the moving
 page are routed by that map, and those for a page waiting behind its
@@ -25,54 +30,52 @@ IN_SRC = 0
 IN_BUFFER = 1
 IN_DST = 2
 
-# Tag entry states.
-TAG_VALID = 0
-TAG_MIGRATING = 1
-
 
 class TagStore:
-    """Set-associative residency tags for the DRAM page cache."""
+    """Set-associative residency tags for the DRAM page cache: per set, the
+    resident pages in LRU order (`_sets`) and the ways `reserve`d for
+    incoming promotions (`_reserved`), each of which `finalize` fills."""
+
+    __slots__ = ("associativity", "num_sets", "_sets", "_reserved")
 
     def __init__(self, dram_pages: int, associativity: int):
         if dram_pages % associativity != 0 or dram_pages < associativity:
             raise ValueError("DRAM page count must be a multiple of the associativity")
         self.associativity = associativity
         self.num_sets = dram_pages // associativity
-        # Per set: page_id -> state, insertion order is LRU order.
-        self.sets = [OrderedDict() for _ in range(self.num_sets)]
-
-    def _set_of(self, page_id: int) -> OrderedDict:
-        return self.sets[page_id % self.num_sets]
+        # Per set: the resident pages, least recently used first.
+        self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        self._reserved = [0] * self.num_sets
 
     def resident(self, page_id: int) -> bool:
-        return self.sets[page_id % self.num_sets].get(page_id) == TAG_VALID
+        return page_id in self._sets[page_id % self.num_sets]
 
     def touch(self, page_id: int):
         """Make a resident page its set's most recently used; else a no-op."""
-        s = self.sets[page_id % self.num_sets]
-        if s.get(page_id) == TAG_VALID:
+        s = self._sets[page_id % self.num_sets]
+        if page_id in s:
             s.move_to_end(page_id)
 
     def has_free_way(self, page_id: int) -> bool:
-        return len(self._set_of(page_id)) < self.associativity
+        i = page_id % self.num_sets
+        return len(self._sets[i]) + self._reserved[i] < self.associativity
 
     def lru_victim(self, page_id: int) -> int | None:
-        """Least-recently-used valid page of the set, None if none valid."""
-        for pid, state in self._set_of(page_id).items():
-            if state == TAG_VALID:
-                return pid
-        return None
+        """Least-recently-used resident page of the set, None if none."""
+        return next(iter(self._sets[page_id % self.num_sets]), None)
 
     def reserve(self, page_id: int):
-        self._set_of(page_id)[page_id] = TAG_MIGRATING
+        self._reserved[page_id % self.num_sets] += 1
 
     def finalize(self, page_id: int):
-        s = self._set_of(page_id)
-        s[page_id] = TAG_VALID
+        i = page_id % self.num_sets
+        self._reserved[i] -= 1
+        s = self._sets[i]
+        s[page_id] = None
         s.move_to_end(page_id)
 
     def remove(self, page_id: int):
-        self._set_of(page_id).pop(page_id, None)
+        self._sets[page_id % self.num_sets].pop(page_id, None)
 
 
 class MigrationJob:
@@ -133,14 +136,14 @@ class MigrationEngine:
     stay a method defined here.
     """
 
+    MAX_JOBS = 4           # jobs under way at once
+    PENDING_CAPACITY = 8   # promotions waiting for a job; more are dropped
+
     def __init__(self, sim, tag: TagStore, blocks_per_page: int,
-                 inflight_blocks: int, max_jobs: int = 4,
-                 pending_capacity: int = 8):
+                 inflight_blocks: int):
         self.sim = sim
         self.tag = tag
         self.blocks_per_page = blocks_per_page
-        self.max_jobs = max_jobs
-        self.pending_capacity = pending_capacity
         self.inflight_blocks = inflight_blocks
         self.jobs = []
         self.n_blocked = 0   # jobs whose `blocked` is set
@@ -160,18 +163,19 @@ class MigrationEngine:
         if job is not None:
             return job.location(page_id, block)
         tag = self.tag
-        return (DRAM_CHANNEL if tag.sets[page_id % tag.num_sets].get(page_id) == TAG_VALID
-                else NVM_CHANNEL)
+        return DRAM_CHANNEL if page_id in tag._sets[page_id % tag.num_sets] else NVM_CHANNEL
 
     # -- triggering -----------------------------------------------------------
 
     def request_promotion(self, page_id: int, cycle: int) -> bool:
-        """Queue a promotion; drops the request when saturated."""
-        if page_id in self.migrating or self.tag.resident(page_id):
-            return False
+        """Queue a promotion; False if already queued or dropped (queue full).
+
+        The page must be neither resident nor migrating, which the caller
+        (`Simulation._maybe_migrate`) has checked.
+        """
         if page_id in self.pending:
             return False
-        if len(self.pending) >= self.pending_capacity:
+        if len(self.pending) >= self.PENDING_CAPACITY:
             self.dropped += 1
             return False
         self.pending.append(page_id)
@@ -182,7 +186,7 @@ class MigrationEngine:
         # A promotion whose set has every way mid-migration stays pending and
         # lets those behind it start; the promotion that frees a way retries.
         i = 0
-        while i < len(self.pending) and len(self.jobs) < self.max_jobs:
+        while i < len(self.pending) and len(self.jobs) < self.MAX_JOBS:
             page = self.pending[i]
             victim = None
             if not self.tag.has_free_way(page):

@@ -141,9 +141,8 @@ class Simulation:
         "_delay_anchor", "t_delay", "t_interference", "t_outstanding",
         "app_reads", "app_writes", "app_row_hits", "app_row_misses",
         "sensitivities", "_quantum_snaps", "_marker_snaps", "_done_count",
-        "page_stall", "quantum_log", "quantum_index", "_next_req_id",
-        "_phase_cycle", "_next_sample", "_parked",
-        "_free_requests",
+        "quantum_log", "quantum_index", "_next_req_id", "_phase_cycle",
+        "_next_sample", "_parked", "_free_requests",
     )
 
     def __init__(self, config: SimConfig, traces):
@@ -210,7 +209,6 @@ class Simulation:
         self._marker_snaps = [{"warm": snap} for snap in self._quantum_snaps]
         self._done_count = 0
 
-        self.page_stall = {}              # page -> attributed stall cycles
         self.quantum_log = []
         self.quantum_index = 0
 
@@ -253,10 +251,6 @@ class Simulation:
         out[kind][app] += 1
         self._push(cycle + LOOKUP_CYCLES, _EV_INJECT, req)
         return req
-
-    def on_stall(self, core: AppCore, page: int, span: int):
-        if page >= 0:
-            self.page_stall[page] = self.page_stall.get(page, 0) + span
 
     def on_app_marker(self, core: AppCore, which: str, marker_cycle: int):
         self._marker_snaps[core.app_id][which] = self._snapshot(core.app_id,
@@ -316,7 +310,7 @@ class Simulation:
         """Queue one block of `job`'s move; None when the queue is full.
 
         The request re-arms a finished system request when one is free, so
-        a run builds at most `max_jobs * migration_inflight_blocks` of them.
+        a run builds at most `MAX_JOBS * migration_inflight_blocks` of them.
         A re-arm sets every field that differs between two blocks: `id`,
         `page_id`, `kind`, `mig_job`, `mig_block`, `channel` and
         `dispatch_cycle`; `enqueue` and the issue set the bank, arrival,

@@ -9,6 +9,7 @@ import pytest
 
 import hybridmem
 from hybridmem import cli, runner
+from hybridmem.migration import TagStore
 from hybridmem.runner import ExperimentConfig, load_experiment_config
 from hybridmem.simulator import RunSettings, SimConfig
 from hybridmem.trace import PageClass, SynthSpec, Trace, generate
@@ -319,17 +320,21 @@ def test_no_imports_inside_functions(module):
     assert not offenders, f"import inside a function body: {offenders}"
 
 
-def test_only_the_trace_module_reads_a_traces_private_state():
+@pytest.mark.parametrize("cls, owner", [(Trace, "trace.py"),
+                                        (TagStore, "migration.py")])
+def test_only_the_owning_module_reads_private_state(cls, owner):
     # A loaded trace decodes its records on demand; code elsewhere that read
-    # its body or decode state would see a part of the trace, or none.
-    private = {name for name in Trace.__slots__ if name.startswith("_")}
+    # its body or decode state would see a part of the trace, or none. The
+    # tag store's sets and reservations change only through its methods and
+    # the engine that owns which pages are moving.
+    private = {name for name in cls.__slots__ if name.startswith("_")}
     offenders = [
         f"{path.name}:{node.lineno} .{node.attr}"
-        for path in sorted(SRC.glob("*.py")) if path.name != "trace.py"
+        for path in sorted(SRC.glob("*.py")) if path.name != owner
         for node in ast.walk(ast.parse(path.read_text(), filename=path.name))
         if isinstance(node, ast.Attribute) and node.attr in private
     ]
-    assert private and not offenders, f"private Trace state read: {offenders}"
+    assert private and not offenders, f"private {cls.__name__} state read: {offenders}"
 
 
 def test_every_slot_is_read():

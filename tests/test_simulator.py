@@ -261,36 +261,36 @@ def test_loaded_short_trace_wraps_across_a_chunk_boundary(tmp_path):
 # policy acts, so `ubm` and `freq` share a digest; `all` ignores the stat
 # store, so decaying it leaves `all`'s digest as it is.
 _SPREAD = {
-    "all": ({"policy": "all"}, "a27dc5b876636e8b"),
-    "freq": ({"policy": "freq"}, "38b9c7a82dd4feb7"),
-    "rbla-warmup": ({"policy": "rbla", "warmup_instructions": 5000}, "703d3c5004daf4c6"),
-    "ubm-st-decay": ({"policy": "ubm-st", "stat_decay": True}, "677329228fc707e4"),
-    "ubm": ({"policy": "ubm"}, "d23dfdd91e7e993b"),
+    "all": ({"policy": "all"}, "8644ccc29d8ffda3"),
+    "freq": ({"policy": "freq"}, "54be8208c4f7c8dc"),
+    "rbla-warmup": ({"policy": "rbla", "warmup_instructions": 5000}, "09c6686f1a62b255"),
+    "ubm-st-decay": ({"policy": "ubm-st", "stat_decay": True}, "436266247ff6b639"),
+    "ubm": ({"policy": "ubm"}, "01e57bf8d2bf0be6"),
     "all-opportunistic-wb9": ({"policy": "all", "write_buffer_capacity": 9,
-                               "opportunistic_writes": True}, "c83678aff2b29756"),
+                               "opportunistic_writes": True}, "d77553d109578bdc"),
     "freq-inflight1": ({"policy": "freq", "migration_inflight_blocks": 1},
-                       "10347f3128f744a5"),
+                       "5d65a3c46c07c693"),
     "ubm-wb64-inflight16": ({"policy": "ubm", "write_buffer_capacity": 64,
-                             "migration_inflight_blocks": 16}, "26dc2e214c2a351c"),
+                             "migration_inflight_blocks": 16}, "ba2fad4a9b7cff4a"),
     "rbla-opportunistic-inflight16": ({"policy": "rbla", "opportunistic_writes": True,
                                        "migration_inflight_blocks": 16},
-                                      "72d52337c124a01b"),
+                                      "f89d777632dd395a"),
     "ubm-st-opportunistic-wb16": ({"policy": "ubm-st", "write_buffer_capacity": 16,
                                    "opportunistic_writes": True,
-                                   "migration_inflight_blocks": 2}, "401eec9c0e0dca1b"),
+                                   "migration_inflight_blocks": 2}, "01d3e7e8a7d01cfd"),
     "ubm-read-only-decay-warmup": ({"policy": "ubm", "read_fraction": 1.0,
                                     "stat_decay": True, "warmup_instructions": 3000},
-                                   "6b071f555841cdc3"),
-    "all-cut-off": ({"policy": "all", "max_cycles": 6000}, "9fc6ff3f733b27d1"),
+                                   "cbe532cb4c9b85f8"),
+    "all-cut-off": ({"policy": "all", "max_cycles": 6000}, "760e6a06af0659c0"),
     "ubm-no-migration": ({"policy": "ubm", "migration_enabled": False},
-                         "e58ad62b2534885e"),
+                         "e43d4eadb6a1fc6a"),
     "freq-no-migration": ({"policy": "freq", "migration_enabled": False},
-                          "e58ad62b2534885e"),
+                          "e43d4eadb6a1fc6a"),
     "ubm-read-only-no-migration-warmup": ({"policy": "ubm", "read_fraction": 1.0,
                                            "migration_enabled": False,
                                            "warmup_instructions": 3000},
-                                          "2cc1ff504b8abf90"),
-    "all-decay": ({"policy": "all", "stat_decay": True}, "a27dc5b876636e8b"),
+                                          "344f9b73ab3cf8fa"),
+    "all-decay": ({"policy": "all", "stat_decay": True}, "8644ccc29d8ffda3"),
 }
 
 
@@ -319,7 +319,6 @@ def _state_digest(sim: Simulation) -> str:
         "finished": sim.finished,
         "windows": [sim.measured_window(i) for i in range(len(sim.cores))],
         "stall": [core.t_stall for core in sim.cores],
-        "page_stall": sorted(sim.page_stall.items()),
         "controllers": [ctrl.stats_snapshot() for ctrl in sim.controllers],
         "engine": [sim.engine.pages_promoted, sim.engine.pages_evicted,
                    sim.engine.dropped, sim.engine.traffic_bytes],
@@ -363,8 +362,8 @@ class _Completions(Simulation):
 # run two applications, and the golden reports see an alone run only
 # through `ipc_alone`. With one application every interference term is 0.
 _ALONE = {
-    "all-writes": ({"policy": "all"}, 0.7, "e4c7c34bde5d21da"),
-    "ubm-read-only": ({"policy": "ubm"}, 1.0, "d779deb9e41c2e29"),
+    "all-writes": ({"policy": "all"}, 0.7, "57d876b746bf79e1"),
+    "ubm-read-only": ({"policy": "ubm"}, 1.0, "c274534015f75c42"),
 }
 
 
@@ -387,12 +386,12 @@ def test_golden_one_application(case):
 # warmup and migration off. Every app reads at least 30% of the time (see
 # the pure-writer defect below).
 _FUZZ = {
-    1: "37f36448a7c18e3a", 3: "9f4ed19ff59d6cb1", 5: "0e62e8611c38ff2c",
-    8: "b00a6dc2d00f8719", 9: "baccc736d37723f1", 14: "970aeb057b467ed1",
-    16: "6385f10ccf18a2d2", 17: "df5dc810960d2dad", 19: "53497d722b3c8129",
-    23: "41f9687884d6f75d", 24: "b699c255a341e73c", 26: "830795f01e2e1b13",
-    27: "b9c8b0fe196d4bed", 32: "296abcb834cf85b8", 35: "c2a72a15305a4e96",
-    40: "36063ce4347ba3cd",
+    1: "5fe54082f78b5b21", 3: "b60a70ab0954aad3", 5: "5a29baa919d2dc48",
+    8: "1298cbc5f4850cb4", 9: "7b6d45d6350a6b89", 14: "ec5efbb5dc3f15ea",
+    16: "645c187c3d796939", 17: "6c41762c078a6aab", 19: "a4dc19be2d91a8fa",
+    23: "08b015348b37dc68", 24: "916c235662e44aa1", 26: "e2cbbd0988249cbb",
+    27: "d649cecb3fccd10c", 32: "d7291aaa63d9baf8", 35: "e971798ed103af1c",
+    40: "a10747d604daf535",
 }
 
 
@@ -507,7 +506,7 @@ def test_finished_migration_requests_are_reused_with_fresh_ids(monkeypatch):
     config, traces = _spread_case("all-opportunistic-wb9")
     sim = _Injections(config, traces).run()
     assert sim.finished and len(sim.injected) > 10_000
-    assert len(built) <= sim.engine.max_jobs * config.migration_inflight_blocks
+    assert len(built) <= sim.engine.MAX_JOBS * config.migration_inflight_blocks
     # FR-FCFS breaks ties on the id, so a re-armed request takes a new one.
     assert all(a < b for a, b in zip(sim.injected, sim.injected[1:]))
     assert sim.miscounted == []
