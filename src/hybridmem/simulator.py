@@ -356,11 +356,13 @@ class Simulation:
             app = req.app_id
             out = self.outstanding
             out[req.kind][app] -= 1
-            if req.kind == READ:
-                self.cores[app].on_read_complete(req, cycle)
+            # Close a finished busy span before the core resumes: a request
+            # it dispatches now opens the next span.
             if out[READ][app] + out[WRITE][app] == 0:
                 self._settle_delay(app, cycle)
                 self._delay_anchor[app] = None
+            if req.kind == READ:
+                self.cores[app].on_read_complete(req, cycle)
             self.t_interference[app] += req.interference_delay
             self.t_outstanding[app] += cycle - req.dispatch_cycle
             if req.channel == NVM_CHANNEL and self.config.migration_enabled:
