@@ -76,8 +76,9 @@ class DeviceGeometry:
     page_bytes: int = 8192
 
     def __post_init__(self):
-        if self.capacity_bytes <= 0 or self.banks <= 0:
-            raise ValueError("geometry fields must be positive")
+        for name in ("capacity_bytes", "banks", "page_bytes"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, not {getattr(self, name)}")
         if self.capacity_bytes % (self.banks * self.page_bytes) != 0:
             raise ValueError("capacity must be a whole number of rows")
 
@@ -286,7 +287,11 @@ def load_timing(source) -> DevTiming:
                 continue
             if key not in _FIELD_KEYS:
                 raise ValueError(f"{source}:{lineno}: unknown key {key!r}")
-            kwargs[_FIELD_KEYS[key]] = float(value)
+            try:
+                kwargs[_FIELD_KEYS[key]] = float(value)
+            except ValueError:
+                raise ValueError(f"{source}:{lineno}: {key} is not a number: "
+                                 f"{value.strip()!r}") from None
     kwargs.setdefault("name", str(source))
     missing = {f.name for f in fields(DevTiming)} - set(kwargs)
     if missing:

@@ -115,12 +115,19 @@ class SimConfig(RunSettings):
     def validate(self):
         if self.quantum_cycles <= 0 or self.sampling_period <= 0:
             raise ValueError("quantum and sampling period must be positive")
-        if self.warmup_instructions + self.measured_instructions <= 0:
-            raise ValueError("warmup + measured instructions must be positive")
         if self.measured_instructions <= 0:
             raise ValueError("measured instructions must be positive")
-        if self.dram_geometry.page_bytes != self.nvm_geometry.page_bytes:
+        for name, least in (("rob_capacity", 1), ("mshr_capacity", 1),
+                            ("warmup_instructions", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, "
+                                 f"not {getattr(self, name)}")
+        page_bytes = self.dram_geometry.page_bytes
+        if page_bytes != self.nvm_geometry.page_bytes:
             raise ValueError("DRAM and NVM must share the page size")
+        if page_bytes % BLOCK_BYTES:
+            raise ValueError(f"page_bytes must be a positive multiple of "
+                             f"{BLOCK_BYTES}, not {page_bytes}")
 
 
 class Simulation:

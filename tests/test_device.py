@@ -177,3 +177,11 @@ def test_preset_file_errors(tmp_path):
     partial.write_text("t_cl = 15\n")
     with pytest.raises(ValueError, match="missing keys"):
         load_timing(partial)
+
+
+def test_preset_file_value_that_is_not_a_number_names_its_line(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("# custom\nt_cl = abc\n")
+    with pytest.raises(ValueError) as err:
+        load_timing(bad)
+    assert str(err.value) == f"{bad}:2: t_cl is not a number: 'abc'"

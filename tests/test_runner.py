@@ -146,6 +146,24 @@ def test_write_buffer_without_room_for_a_drain_fails_with_clear_message(tmp_path
     assert err.startswith("error: ") and "no drain could start" in err
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("rob_capacity = 0", "rob_capacity must be at least 1, not 0"),
+    ("mshr_capacity = 0", "mshr_capacity must be at least 1, not 0"),
+    ("warmup_instructions = -3000", "warmup_instructions must be at least 0, not -3000"),
+    ("page_bytes = 0", "page_bytes must be positive, not 0"),
+    ("page_bytes = -8192", "page_bytes must be positive, not -8192"),
+    ("page_bytes = 32", "page_bytes must be a positive multiple of 64, not 32"),
+])
+def test_run_setting_the_simulator_cannot_run_fails_with_clear_message(
+        tmp_path, capsys, setting, message):
+    # Each used to hang, crash or report nonsense; `all` moves every page.
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[experiment]\npolicy = all\n"
+                   f"traces = {_write_traces(tmp_path, n=1)[0]}\n{setting}\n")
+    assert cli.main(["run", "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_bad_trace_header_fails_with_path_and_key(tmp_path, capsys):
     trace = tmp_path / "bad.hmt"
     trace.write_bytes(b"HMT1\napp=x\ninstructions=ten\naddress_space=8192\n%%\n")
