@@ -113,15 +113,12 @@ class SimConfig(RunSettings):
     stat_decay: bool = False
 
     def validate(self):
-        if self.quantum_cycles <= 0 or self.sampling_period <= 0:
-            raise ValueError("quantum and sampling period must be positive")
-        if self.measured_instructions <= 0:
-            raise ValueError("measured instructions must be positive")
-        for name, least in (("rob_capacity", 1), ("mshr_capacity", 1),
-                            ("warmup_instructions", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, "
-                                 f"not {getattr(self, name)}")
+        for name, least in (("quantum_cycles", 1), ("sampling_period", 1),
+                            ("rob_capacity", 1), ("mshr_capacity", 1),
+                            ("warmup_instructions", 0), ("measured_instructions", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, not {value}")
         page_bytes = self.dram_geometry.page_bytes
         if page_bytes != self.nvm_geometry.page_bytes:
             raise ValueError("DRAM and NVM must share the page size")
