@@ -30,8 +30,8 @@ from collections import deque
 
 from .device import READ, WRITE
 
-# Stall modes: what the open stall span waits on. Only their total,
-# `t_stall`, is counted yet; the mode changes settle the span.
+# Stall modes: what the open stall span waits on. Only the total over all
+# modes is counted (`t_stall`); a change of mode settles the open span.
 STALL_NONE = 0
 STALL_HEAD = 1   # a read: at the head, parked on a full queue, or on a full MSHR
 STALL_WB = 2     # pipeline drained behind a write awaiting a buffer slot

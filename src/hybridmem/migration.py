@@ -183,8 +183,8 @@ class MigrationEngine:
         return True
 
     def start_jobs(self, cycle: int):
-        # A promotion whose set has every way mid-migration stays pending and
-        # lets those behind it start; the promotion that frees a way retries.
+        # A promotion whose set has every way reserved stays pending and lets
+        # those behind it start; the promotion that fills a way retries.
         i = 0
         while i < len(self.pending) and len(self.jobs) < self.MAX_JOBS:
             page = self.pending[i]
@@ -211,8 +211,8 @@ class MigrationEngine:
 
         They are the only work for a later pump: every other change to a job
         pumps it on the spot. A pending promotion waits only while every way
-        of its set is mid-migration, and the promotion that frees a way
-        starts it (`_finish_move`).
+        of its set is reserved, and the promotion that fills one, leaving a
+        resident victim, starts it (`_finish_move`).
         """
         for job in self.jobs:
             if job.blocked:

@@ -628,7 +628,7 @@ def test_demand_routing_follows_each_block_of_an_eviction_then_its_promotion():
 def test_promotion_waiting_on_a_set_of_migrating_ways_starts_when_one_finishes():
     # Three promotions into one 2-way set: the first two take both ways, so
     # the third waits in `pending` with no victim to evict until the first
-    # promotion finishes and its page becomes the set's LRU valid way.
+    # promotion finishes and its page becomes the set's LRU resident page.
     first, second, third = _SET_PAGES
     sim = _idle_simulation(controller=ControllerConfig(opportunistic_writes=True),
                            tag_associativity=2, max_cycles=200_000)
