@@ -16,11 +16,11 @@ applications' requests, plus lost arbitration slots, plus the extra row
 conflict penalty when another application closed a row it would have hit.
 System (migration) traffic is nobody's interference and suffers none.
 `enqueue` snapshots the bank's busy cycles and row opens of other
-applications, and `_service` charges what they grew by while the request
-waited; `try_issue` charges the lost slots. A controller that only one
-application uses attributes nothing: all its bank time belongs to that
-application or to the system, so every term is 0, and the controller skips
-the snapshots, the charges and its banks' per-application sums.
+applications, and `try_issue` charges what they grew by while the request
+waited, and the lost slots. A controller that only one application uses
+attributes nothing: all its bank time belongs to that application or to
+the system, so every term is 0, and the controller skips the snapshots,
+the charges and its banks' per-application sums.
 """
 
 from __future__ import annotations
@@ -209,97 +209,83 @@ class ChannelController:
 
     # -- scheduling -----------------------------------------------------------
 
-    def _candidates(self, wait, cycle: int):
-        """Each free bank's first row hit, or else its oldest request.
-
-        The banks come in the order their lists were filled, not by index;
-        no result depends on that (see `try_issue`).
-        """
-        out = []
-        banks = self.banks
-        for b, q in wait.items():
-            bank = banks[b]
-            if bank.busy_until <= cycle:
-                open_row = bank.open_row
-                for r in q:
-                    if r.page_id == open_row:
-                        out.append(r)
-                        break
-                else:
-                    out.append(q[0])
-        return out
-
     def try_issue(self, cycle: int):
         """Issue at most one request this cycle; returns it (or None).
 
-        In drain mode writes take priority; otherwise reads do, and writes
-        are only considered when enabled by opportunistic_writes. Leaves
-        `may_issue` set only when another bank held a ready request, so
-        only then can the next cycle issue without a new enqueue or
-        completion.
+        Each free bank offers its first row hit, or else its oldest request,
+        of each eligible kind. In drain mode writes take priority; otherwise
+        reads do, and writes are only considered when enabled by
+        opportunistic_writes. Leaves `may_issue` set only when another bank
+        held a ready request, so only then can the next cycle issue without
+        a new enqueue or completion.
         """
         self.may_issue = False
-        wait = self.wait
-        reads = self._candidates(wait[READ], cycle) if wait[READ] else []
-        writes = (self._candidates(wait[WRITE], cycle)
-                  if wait[WRITE] and self.eligible[WRITE] else [])
-        pool = (writes or reads) if self.draining else (reads or writes)
-        if not pool:
-            return None
-        winner = pool[0]
-        if len(pool) > 1:
-            # FR-FCFS: a row hit first, then the earliest arrival, then the
-            # lowest id, a total order, so the pool's order does not matter.
-            banks = self.banks
-            w_hit = banks[winner.bank_id].open_row == winner.page_id
-            for r in pool[1:]:
-                hit = banks[r.bank_id].open_row == r.page_id
-                if hit != w_hit:
+        banks = self.banks
+        ready = []      # every bank's candidates, of both kinds
+        winner = None
+        for kind in (WRITE, READ) if self.draining else (READ, WRITE):
+            wait = self.wait[kind]
+            if not wait or not self.eligible[kind]:
+                continue
+            # The pool is the first kind with a candidate. FR-FCFS picks from
+            # it a row hit, then the earliest arrival, then the lowest id: a
+            # total order, so the order of the banks does not matter.
+            pick = winner is None
+            for b, q in wait.items():
+                bank = banks[b]
+                if bank.busy_until > cycle:
+                    continue
+                open_row = bank.open_row
+                for r in q:
+                    if r.page_id == open_row:
+                        hit = True
+                        break
+                else:
+                    r, hit = q[0], False
+                ready.append(r)
+                if not pick:
+                    continue
+                if winner is None:
+                    winner, w_hit = r, hit
+                elif hit != w_hit:
                     if hit:
                         winner, w_hit = r, True
                 elif r.arrival_cycle < winner.arrival_cycle or (
                         r.arrival_cycle == winner.arrival_cycle and r.id < winner.id):
                     winner = r
-        # Requests that were bank-ready and eligible this cycle but lost the
-        # command slot to a different application accrue one blocked cycle.
-        w_app = winner.app_id
-        if self.shared and w_app != SYSTEM_APP:
-            for r in reads + writes:
-                if r is not winner and r.app_id not in (w_app, SYSTEM_APP):
-                    r.interference_delay += 1
-        # Each list holds at most one candidate per bank, so a bank other
-        # than the winner's was ready iff a list holds two, or a read and a
-        # write sit on different banks.
-        if len(reads) > 1 or len(writes) > 1:
-            self.may_issue = True
-        elif reads and writes:
-            self.may_issue = reads[0].bank_id != writes[0].bank_id
-        self._service(winner, cycle)
-        return winner
-
-    def _service(self, req: MemRequest, cycle: int):
-        kind, b = req.kind, req.bank_id
-        bank = self.banks[b]
-        outcome = ROW_HIT if bank.open_row == req.page_id else ROW_MISS
+        if winner is None:
+            return None
+        kind, b = winner.kind, winner.bank_id
+        # Did a bank other than the winner's hold one? A bank offers at most
+        # a read and a write, so two candidates may share it, three cannot.
+        n = len(ready)
+        self.may_issue = n > 2 or n == 2 and ready[0].bank_id != ready[1].bank_id
+        bank = banks[b]
+        outcome = ROW_HIT if w_hit else ROW_MISS
         latency = self.latency[kind][outcome]
-        req.outcome = outcome
-        req.completion_cycle = cycle + latency
-        self.queue_wait_cycles += cycle - req.arrival_cycle
+        winner.outcome = outcome
+        winner.completion_cycle = cycle + latency
+        self.queue_wait_cycles += cycle - winner.arrival_cycle
 
-        app = req.app_id
+        app = winner.app_id
         if self.shared and app != SYSTEM_APP:
+            # Ready requests that lost the command slot to a different
+            # application accrue one blocked cycle.
+            for r in ready:
+                if r is not winner and r.app_id not in (app, SYSTEM_APP):
+                    r.interference_delay += 1
             # Bank-conflict share of the wait: cycles the bank spent serving
-            # other applications while req waited. The bank is free now, so
-            # every span it counts has ended.
-            req.interference_delay += bank.busy_by_others(app, cycle) - req.snap_busy
-            # Row-locality change: req arrived with its row open but another
-            # application's activation closed it before service.
-            if outcome == ROW_MISS and 0 <= req.snap_opens < bank.opens_by_others(app):
-                req.interference_delay += latency - self.latency[kind][ROW_HIT]
+            # other applications while the winner waited. The bank is free
+            # now, so every span it counts has ended.
+            winner.interference_delay += bank.busy_by_others(app, cycle) - winner.snap_busy
+            # Row-locality change: the winner arrived with its row open but
+            # another application's activation closed it before service.
+            if outcome == ROW_MISS and 0 <= winner.snap_opens < bank.opens_by_others(app):
+                winner.interference_delay += latency - self.latency[kind][ROW_HIT]
 
         wait = self.wait[kind]
         q = wait[b]
-        q.remove(req)
+        q.remove(winner)
         if not q:
             del wait[b]
         if kind == READ:
@@ -312,8 +298,9 @@ class ChannelController:
             self.row_misses += 1
         bank.occupy(app, cycle, latency)
         if outcome == ROW_MISS:
-            bank.open_for(req.page_id, app)
+            bank.open_for(winner.page_id, app)
         self.energy.dynamic_pj += self.energy_pj[kind][outcome]
+        return winner
 
     def stats_snapshot(self) -> dict:
         issued = self.issued_reads + self.issued_writes

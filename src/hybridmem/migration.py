@@ -207,23 +207,32 @@ class MigrationEngine:
     # -- traffic pumping ------------------------------------------------------
 
     def pump(self, cycle: int):
-        """Re-pump the jobs stopped on a full queue (a no-op until a slot frees).
+        """Re-pump each stopped job that can now inject a block.
 
-        They are the only work for a later pump: every other change to a job
-        pumps it on the spot. A pending promotion waits only while every way
-        of its set is reserved, and the promotion that fills one, leaving a
-        resident victim, starts it (`_finish_move`).
+        A job stops (`blocked`) on a full queue; any other change to a job
+        moves it on the spot. It can inject once it holds writes and its
+        destination's write queue has a slot free to migration traffic, or
+        it has reads left under the cap and its source's read queue has one
+        (the test `Simulation.inject_migration` makes). A pending promotion
+        waits only while every way of its set is reserved; `_finish_move` starts it.
         """
+        ctrls = self.sim.controllers
         for job in self.jobs:
-            if job.blocked:
+            dst, src = ctrls[job.dst_channel], ctrls[job.src_channel]
+            if job.blocked and (
+                    job.pending_writes and dst.occupancy[WRITE] < dst.capacity[WRITE][False]
+                    or job.inflight < self.inflight_blocks and job.next_read < job.blocks
+                    and src.occupancy[READ] < src.capacity[READ][False]):
                 self.pump_job(job, cycle)
 
     def pump_job(self, job: MigrationJob, cycle: int):
+        """Inject the job's buffered writes, then reads up to the in-flight
+        cap; a full queue stops the job (a full write queue still lets the
+        reads try). So a job that is not stopped holds no writes and has the
+        cap of reads in flight or none left: the one request `finish_block_*`
+        hand it is all that a pump would inject."""
         # Buffered blocks head for the destination first; that frees buffer
         # space and bounds the job's footprint.
-        if job.blocked:
-            job.blocked = False
-            self.n_blocked -= 1
         blocked = False
         page = job.moving
         while job.pending_writes:
@@ -243,23 +252,43 @@ class MigrationEngine:
             job.next_read += 1
             job.inflight += 1
             self.traffic_bytes += self.sim.block_bytes
-        if blocked:
-            job.blocked = True
-            self.n_blocked += 1
+        self.n_blocked += blocked - job.blocked
+        job.blocked = blocked
 
     def finish_block_read(self, job: MigrationJob, block: int, cycle: int):
+        """Hand the buffered block's write to the destination, or to a
+        stopped job's pump, behind its buffered writes."""
         job.block_state[block] = IN_BUFFER
-        job.pending_writes.append(block)
-        self.pump_job(job, cycle)
+        if job.blocked:
+            job.pending_writes.append(block)
+            self.pump_job(job, cycle)
+        elif self.sim.inject_migration(job, WRITE, job.moving, block,
+                                       job.dst_channel, cycle) is None:
+            job.pending_writes.append(block)
+            job.blocked = True
+            self.n_blocked += 1
+        else:
+            self.traffic_bytes += self.sim.block_bytes
 
     def finish_block_write(self, job: MigrationJob, block: int, cycle: int):
+        """End the move after its last block; else hand the source the
+        job's next read, or pump a stopped job."""
         job.block_state[block] = IN_DST
         job.writes_done += 1
         job.inflight -= 1
         if job.writes_done == job.blocks:
             self._finish_move(job, cycle)
-        else:
+        elif job.blocked:
             self.pump_job(job, cycle)
+        elif job.next_read < job.blocks:
+            if self.sim.inject_migration(job, READ, job.moving, job.next_read,
+                                         job.src_channel, cycle) is None:
+                job.blocked = True
+                self.n_blocked += 1
+            else:
+                job.next_read += 1
+                job.inflight += 1
+                self.traffic_bytes += self.sim.block_bytes
 
     def _finish_move(self, job: MigrationJob, cycle: int):
         page = job.moving

@@ -23,10 +23,11 @@ completion), and a write that starts a drain; ending a drain only narrows
 eligibility. Each sets the flag, and an enqueue or completion that leaves
 a flag set requests the phase in its own cycle; so does a completion while
 a request is parked (the freed slot may admit it) or a migration job is
-stopped on a full queue, which the phase re-pumps (the engine counts them,
-`n_blocked`; every other change to a job pumps it on the spot).
-`try_issue` clears its flag and sets it again only when a request on
-another bank was ready, and the phase then requests the next cycle.
+stopped on a full queue (`n_blocked`), which the phase re-pumps once a
+queue it waits on has room; a finished block hands any other job its next
+request. `try_issue` clears its flag and sets it again only when a request
+on another bank was ready, and the phase then requests the next cycle. It
+pushes each completion past `_push`'s guard: a service takes a cycle.
 
 Page statistics -- the stat store, the MLP counters of pages with requests
 in flight to NVM, and the MLP sampling that feeds them -- model hardware
@@ -114,10 +115,10 @@ class SimConfig(RunSettings):
 
     def validate(self):
         for name, least in (("quantum_cycles", 1), ("sampling_period", 1),
-                            ("rob_capacity", 1), ("mshr_capacity", 1),
+                            ("rob_capacity", 1), ("mshr_capacity", 1), ("max_cycles", 1),
                             ("warmup_instructions", 0), ("measured_instructions", 1)):
             value = getattr(self, name)
-            if value < least:
+            if value is not None and value < least:   # max_cycles may be None
                 raise ValueError(f"{name} must be at least {least}, not {value}")
         page_bytes = self.dram_geometry.page_bytes
         if page_bytes != self.nvm_geometry.page_bytes:
@@ -346,17 +347,18 @@ class Simulation:
         return req
 
     def _complete(self, req: MemRequest, cycle: int):
-        if req.channel != BUFFER_CHANNEL:
+        if not req.is_demand:   # a migration block, never served by the buffer
             self.controllers[req.channel].on_complete(req)
-        if not req.is_demand:
-            job, block, kind = req.mig_job, req.mig_block, req.kind
-            # Free first, so the block's write can re-arm this request.
+            # Free first, so the block's next request can re-arm this one;
+            # nothing may read `req` after the engine has seen it.
             self._free_requests.append(req)
-            if kind == READ:
-                self.engine.finish_block_read(job, block, cycle)
+            if req.kind == READ:
+                self.engine.finish_block_read(req.mig_job, req.mig_block, cycle)
             else:
-                self.engine.finish_block_write(job, block, cycle)
+                self.engine.finish_block_write(req.mig_job, req.mig_block, cycle)
         else:
+            if req.channel != BUFFER_CHANNEL:
+                self.controllers[req.channel].on_complete(req)
             app = req.app_id
             out = self.outstanding
             out[req.kind][app] -= 1
@@ -479,7 +481,9 @@ class Simulation:
                 if req is not None:
                     if req.is_demand:
                         self.on_issue(req)
-                    self._push(req.completion_cycle, _EV_COMPLETE, req)
+                    self._seq += 1
+                    heapq.heappush(self._heap, (req.completion_cycle, _EV_COMPLETE,
+                                                self._seq, req))
         if self._dram.may_issue or self._nvm.may_issue:
             self._phase_cycle = cycle + 1
 

@@ -1,9 +1,15 @@
-"""Unit tests of the DRAM tag store and the migration engine's promotion queue."""
+"""Unit tests of the DRAM tag store and the migration engine's promotion
+queue, and of the engine's block hand-off against a reference engine."""
 
+import pytest
+
+from hybridmem import simulator
 from hybridmem.device import READ, DeviceGeometry
-from hybridmem.migration import TagStore
+from hybridmem.migration import IN_BUFFER, IN_DST, MigrationEngine, TagStore
 from hybridmem.simulator import SimConfig, Simulation
 from hybridmem.trace import Trace, TraceHeader
+
+from test_simulator import _FUZZ, _SPREAD, _fuzz_case, _spread_case, _state_digest
 
 # A 4-way store of two sets: pages 0, 2, 4, 6 and 8 all map to set 0.
 SET0 = (0, 2, 4, 6)
@@ -117,3 +123,48 @@ def test_a_ninth_pending_promotion_is_dropped():
     assert engine.dropped == 0
     assert not engine.request_promotion(_same_set(10), cycle=0)
     assert engine.dropped == 1 and len(engine.pending) == 8
+
+
+# -- block hand-off ------------------------------------------------------------------
+
+class _ReferenceEngine(MigrationEngine):
+    """The engine without the block hand-off or the re-pump gate: each
+    finished block goes through `pump_job`, and `pump` re-pumps every
+    stopped job."""
+
+    def pump(self, cycle):
+        for job in self.jobs:
+            if job.blocked:
+                self.pump_job(job, cycle)
+
+    def finish_block_read(self, job, block, cycle):
+        job.block_state[block] = IN_BUFFER
+        job.pending_writes.append(block)
+        self.pump_job(job, cycle)
+
+    def finish_block_write(self, job, block, cycle):
+        job.block_state[block] = IN_DST
+        job.writes_done += 1
+        job.inflight -= 1
+        if job.writes_done == job.blocks:
+            self._finish_move(job, cycle)
+        else:
+            self.pump_job(job, cycle)
+
+
+# Every spread case and fuzz case that migrates.
+_MIGRATING = ([case for case, (fields, _) in _SPREAD.items()
+               if fields.get("migration_enabled", True)]
+              + [seed for seed in _FUZZ if _fuzz_case(seed)[0].migration_enabled])
+
+
+@pytest.mark.parametrize("case", _MIGRATING,
+                         ids=lambda case: case if case in _SPREAD else f"fuzz-{case}")
+def test_block_hand_off_runs_as_the_reference_engine(case, monkeypatch):
+    config, traces = _spread_case(case) if case in _SPREAD else _fuzz_case(case)
+    digest = _state_digest(Simulation(config, traces).run())
+    monkeypatch.setattr(simulator, "MigrationEngine", _ReferenceEngine)
+    reference = Simulation(config, traces).run()
+    assert type(reference.engine) is _ReferenceEngine
+    assert reference.engine.traffic_bytes > 0
+    assert _state_digest(reference) == digest

@@ -153,6 +153,8 @@ def test_write_buffer_without_room_for_a_drain_fails_with_clear_message(tmp_path
     ("page_bytes = 0", "page_bytes must be positive, not 0"),
     ("page_bytes = -8192", "page_bytes must be positive, not -8192"),
     ("page_bytes = 32", "page_bytes must be a positive multiple of 64, not 32"),
+    ("max_cycles = -5", "max_cycles must be at least 1, not -5"),
+    ("max_cycles = 0", "max_cycles must be at least 1, not 0"),
 ])
 def test_run_setting_the_simulator_cannot_run_fails_with_clear_message(
         tmp_path, capsys, setting, message):

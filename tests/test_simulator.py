@@ -517,13 +517,35 @@ def test_read_only_mix_asks_controllers_only_when_they_issue(monkeypatch):
 
 
 class _Injections(Simulation):
-    """Records the id of every injected migration request, and every
-    completion after which the engine's count of stopped jobs is off."""
+    """Records the id of every injected migration request; every completion
+    after which the engine's count of stopped jobs is off, or a job that is
+    not stopped holds buffered writes or could take more reads; and every
+    re-pump from `MigrationEngine.pump` that injected nothing."""
 
     def __init__(self, config, traces):
         self.injected = []
         self.miscounted = []
+        self.broken = []
+        self.repumps = 0
+        self.wasted = []
         super().__init__(config, traces)
+        engine = self.engine
+        pumping = []
+
+        def pump(cycle, pump=engine.pump):
+            pumping.append(cycle)
+            pump(cycle)
+            pumping.pop()
+
+        def pump_job(job, cycle, pump_job=engine.pump_job):
+            before = engine.traffic_bytes
+            pump_job(job, cycle)
+            if pumping:
+                self.repumps += 1
+                if engine.traffic_bytes == before:
+                    self.wasted.append(cycle)
+
+        engine.pump, engine.pump_job = pump, pump_job
 
     def inject_migration(self, *args):
         req = super().inject_migration(*args)
@@ -536,6 +558,10 @@ class _Injections(Simulation):
         engine = self.engine
         if engine.n_blocked != sum(job.blocked for job in engine.jobs):
             self.miscounted.append(cycle)
+        for job in engine.jobs:
+            if not job.blocked and (job.pending_writes or (
+                    job.inflight != engine.inflight_blocks and job.next_read != job.blocks)):
+                self.broken.append((cycle, job.page))
 
 
 def test_finished_migration_requests_are_reused_with_fresh_ids(monkeypatch):
@@ -557,6 +583,21 @@ def test_finished_migration_requests_are_reused_with_fresh_ids(monkeypatch):
     # FR-FCFS breaks ties on the id, so a re-armed request takes a new one.
     assert all(a < b for a, b in zip(sim.injected, sim.injected[1:]))
     assert sim.miscounted == []
+
+
+@pytest.mark.parametrize("case", ["all-opportunistic-wb9", "write-heavy-golden"])
+def test_migration_jobs_keep_their_invariants_and_repump_only_to_inject(case):
+    # The block hand-off skips `pump_job` for a job that is not stopped, which
+    # is exact only while such a job has nothing else to inject.
+    if case == "write-heavy-golden":
+        config = _gated_write_config().sim_config()
+        traces = [generate(_gated_write_spec(1), 1000)]
+    else:
+        config, traces = _spread_case(case)
+    sim = _Injections(config, traces).run()
+    assert sim.finished and sim.engine.pages_promoted > 0
+    assert sim.broken == [] and sim.miscounted == []
+    assert sim.repumps > 0 and sim.wasted == []
 
 
 # -- migration liveness ------------------------------------------------------------
@@ -747,6 +788,18 @@ def test_every_run_finishes_within_the_accounting_bounds(
         assert 0 < runner._ipc(core, win) <= AppCore.RETIRE_WIDTH
         assert win["t_stall"] <= win["cycle"]
         assert win["t_interference"] <= win["t_delay"]
+
+
+def test_an_app_without_memory_events_in_its_window_never_stalls():
+    # The first app's warmup and measured window both lie in the gap before
+    # its only memory access, while the second app keeps memory busy.
+    idle = Trace(TraceHeader("idle", 10**6, 8192), [10**6 - 1], [0], [READ])
+    config = _small_config(warmup_instructions=2000)
+    sim = Simulation(config, [idle, _spread_mix(0.7)[1]]).run()
+    assert sim.finished and sim.cores[1].t_stall > 0
+    win = sim.measured_window(0)
+    assert win["cycle"] > 0 and win["reads"] + win["writes"] == 0
+    assert win["t_stall"] == 0 and win["t_delay"] == 0
 
 
 def test_ipc_after_warmup_stays_within_the_retire_width():
