@@ -210,20 +210,24 @@ class MigrationEngine:
         """Re-pump each stopped job that can now inject a block.
 
         A job stops (`blocked`) on a full queue; any other change to a job
-        moves it on the spot. It can inject once it holds writes and its
-        destination's write queue has a slot free to migration traffic, or
-        it has reads left under the cap and its source's read queue has one
-        (the test `Simulation.inject_migration` makes). A pending promotion
-        waits only while every way of its set is reserved; `_finish_move` starts it.
+        moves it on the spot. A pending promotion waits only while every
+        way of its set is reserved; `_finish_move` starts it.
         """
-        ctrls = self.sim.controllers
         for job in self.jobs:
-            dst, src = ctrls[job.dst_channel], ctrls[job.src_channel]
-            if job.blocked and (
-                    job.pending_writes and dst.occupancy[WRITE] < dst.capacity[WRITE][False]
-                    or job.inflight < self.inflight_blocks and job.next_read < job.blocks
-                    and src.occupancy[READ] < src.capacity[READ][False]):
+            if job.blocked and self._has_room(job):
                 self.pump_job(job, cycle)
+
+    def _has_room(self, job: MigrationJob) -> bool:
+        """Whether `pump_job` would inject a block of `job`: it holds writes and
+        the destination's write queue has a slot free to migration traffic, or
+        it has reads left under the cap and the source's read queue has one
+        (the test `Simulation.inject_migration` makes). A stopped job holds
+        one or the other, so a pump this test refuses would change nothing."""
+        ctrls = self.sim.controllers
+        dst, src = ctrls[job.dst_channel], ctrls[job.src_channel]
+        return (job.pending_writes and dst.occupancy[WRITE] < dst.capacity[WRITE][False]
+                or job.inflight < self.inflight_blocks and job.next_read < job.blocks
+                and src.occupancy[READ] < src.capacity[READ][False])
 
     def pump_job(self, job: MigrationJob, cycle: int):
         """Inject the job's buffered writes, then reads up to the in-flight
@@ -261,7 +265,8 @@ class MigrationEngine:
         job.block_state[block] = IN_BUFFER
         if job.blocked:
             job.pending_writes.append(block)
-            self.pump_job(job, cycle)
+            if self._has_room(job):
+                self.pump_job(job, cycle)
         elif self.sim.inject_migration(job, WRITE, job.moving, block,
                                        job.dst_channel, cycle) is None:
             job.pending_writes.append(block)
@@ -279,7 +284,8 @@ class MigrationEngine:
         if job.writes_done == job.blocks:
             self._finish_move(job, cycle)
         elif job.blocked:
-            self.pump_job(job, cycle)
+            if self._has_room(job):
+                self.pump_job(job, cycle)
         elif job.next_read < job.blocks:
             if self.sim.inject_migration(job, READ, job.moving, job.next_read,
                                          job.src_channel, cycle) is None:

@@ -58,7 +58,10 @@ class FreqPolicy(PlacementPolicy):
     name = "freq"
 
     def score(self, page_id, store, ctx):
-        return float(sum(e.access_count for e in store.entries_for_page(page_id)))
+        total = 0
+        for e in store.entries_for_page(page_id):
+            total += e.access_count
+        return float(total)
 
 
 class RblaPolicy(PlacementPolicy):
@@ -67,8 +70,10 @@ class RblaPolicy(PlacementPolicy):
     name = "rbla"
 
     def score(self, page_id, store, ctx):
-        return float(sum(e.read_misses + e.write_misses
-                         for e in store.entries_for_page(page_id)))
+        total = 0
+        for e in store.entries_for_page(page_id):
+            total += e.read_misses + e.write_misses
+        return float(total)
 
 
 class StallTimePolicy(PlacementPolicy):

@@ -281,7 +281,7 @@ class Simulation:
         if req.is_demand:
             if channel == NVM_CHANNEL:
                 if self.keeps_page_stats:
-                    self.hot.on_inject(req.page_id, req.app_id, req.kind == WRITE)
+                    self.hot.on_inject(req.page_id, req.app_id, req.kind)
             else:
                 self.tag.touch(req.page_id)
         if self._dram.may_issue or self._nvm.may_issue:
@@ -373,8 +373,7 @@ class Simulation:
             self.t_outstanding[app] += cycle - req.dispatch_cycle
             if req.channel == NVM_CHANNEL and self.config.migration_enabled:
                 if self.keeps_page_stats:
-                    self.hot.on_complete(req.page_id, app, req.kind == WRITE,
-                                         self.store)
+                    self.hot.on_complete(req.page_id, app, req.kind, self.store)
                 self._maybe_migrate(req.page_id, cycle)
         if self._dram.may_issue or self._nvm.may_issue or self._parked \
                 or self.engine.n_blocked:
@@ -403,10 +402,7 @@ class Simulation:
         else:
             self.app_row_misses[app] += 1
         if req.channel == NVM_CHANNEL and self.keeps_page_stats:
-            entry = self.store.get_or_alloc(req.page_id, app)
-            entry.count_access()
-            if not hit:
-                entry.count_miss(req.kind == WRITE)
+            self.store.get_or_alloc(req.page_id, app).count_issue(req.kind, hit)
 
     def on_page_moved(self, page: int):
         self.store.invalidate_page(page)
@@ -422,7 +418,7 @@ class Simulation:
         ticks = (up_to - 1 - first) // period + 1
         self._next_sample = first + ticks * period
         if self.hot.entries:
-            self.hot.sample(*self.outstanding, count=ticks)
+            self.hot.sample(*self.outstanding, ticks)
 
     def _settle_delay(self, app: int, cycle: int):
         """Close the app's open memory-busy span at `cycle` into T_delay."""

@@ -4,15 +4,16 @@ A page's value is estimated as the application stall time a migration to
 DRAM would save -- row-buffer misses times the device latency gap, scaled
 by how much of that latency is actually exposed (the sampled MLP ratio) --
 multiplied by the application's performance sensitivity. Counters mirror a
-hardware budget: saturating 8-bit miss counts, 15-bit sample weights, and a
-25-bit accumulator with 10 fractional bits for the MLP ratio sums.
+hardware budget: saturating 8-bit miss counts, a 16-bit access count, 15-bit
+sample weights, and a 25-bit accumulator with 10 fractional bits for the MLP
+ratio sums.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 
-from .device import DevTiming, read_miss_latency, write_miss_latency
+from .device import WRITE, DevTiming, read_miss_latency, write_miss_latency
 
 MLP_FRAC_BITS = 10
 MLP_ONE = 1 << MLP_FRAC_BITS            # 1.0 in accumulator units
@@ -48,22 +49,30 @@ class PageStats:
         self.weight_write = 0
         self.access_count = 0
 
-    def count_miss(self, is_write: bool):
-        if is_write:
+    def count_issue(self, kind: int, hit: bool):
+        """Count an issued request: an access, and a row miss unless `hit`."""
+        if self.access_count < ACCESS_COUNT_MAX:
+            self.access_count += 1
+        if hit:
+            return
+        if kind == WRITE:
             if self.write_misses < MISS_COUNT_MAX:
                 self.write_misses += 1
         elif self.read_misses < MISS_COUNT_MAX:
             self.read_misses += 1
 
-    def count_access(self):
-        if self.access_count < ACCESS_COUNT_MAX:
-            self.access_count += 1
-
     def add_samples(self, acc_read, weight_read, acc_write, weight_write):
-        self.acc_read = min(self.acc_read + acc_read, MLP_ACC_MAX)
-        self.acc_write = min(self.acc_write + acc_write, MLP_ACC_MAX)
-        self.weight_read = min(self.weight_read + weight_read, MLP_WEIGHT_MAX)
-        self.weight_write = min(self.weight_write + weight_write, MLP_WEIGHT_MAX)
+        """Saturating adds; a side whose increments are both 0 is left as is."""
+        if acc_read or weight_read:
+            acc = self.acc_read + acc_read
+            self.acc_read = acc if acc < MLP_ACC_MAX else MLP_ACC_MAX
+            w = self.weight_read + weight_read
+            self.weight_read = w if w < MLP_WEIGHT_MAX else MLP_WEIGHT_MAX
+        if acc_write or weight_write:
+            acc = self.acc_write + acc_write
+            self.acc_write = acc if acc < MLP_ACC_MAX else MLP_ACC_MAX
+            w = self.weight_write + weight_write
+            self.weight_write = w if w < MLP_WEIGHT_MAX else MLP_WEIGHT_MAX
 
     def halve(self):
         self.read_misses >>= 1
@@ -104,17 +113,19 @@ def gap_stall_reduction(entry: PageStats, gaps: tuple[int, int]) -> float:
 def page_stall_reduction(entries, gaps: tuple[int, int], weights=None) -> float:
     """`gap_stall_reduction` summed over a page's entries, each times
     `weights[app_id]` if given; in one loop, with the same float expression
-    added in the same order, so the sum is exactly equal.
+    added in the same order, so the sum is exactly equal. An entry without
+    write misses skips its write term, a zero, which changes no sum: `total`
+    starts as int 0, so it is never -0.0.
     """
     d_read, d_write = gaps
     total = 0
     for e in entries:
         w = e.weight_read
-        r_read = e.acc_read / MLP_ONE / w if w else 0.0
-        w = e.weight_write
-        r_write = e.acc_write / MLP_ONE / w if w else 0.0
-        saved = (e.read_misses * d_read * r_read
-                 + WRITE_CRITICALITY_P * e.write_misses * d_write * r_write)
+        saved = e.read_misses * d_read * (e.acc_read / MLP_ONE / w if w else 0.0)
+        if e.write_misses:
+            w = e.weight_write
+            r_write = e.acc_write / MLP_ONE / w if w else 0.0
+            saved += WRITE_CRITICALITY_P * e.write_misses * d_write * r_write
         total += saved if weights is None else saved * weights[e.app_id]
     return total
 
@@ -215,23 +226,26 @@ class HotPageCounters:
 
     An entry exists exactly while its page has outstanding NVM requests;
     when the last one completes the accumulated samples fold into the stat
-    store and the entry disappears. `bench/spans.py` times `sample`,
-    `on_inject` and `on_complete` by replacing them on this class, so each
-    must stay a method defined here.
+    store and the entry disappears. A record is [m_read, m_write, acc_read,
+    acc_write, weight_read, weight_write, app_id]: outstanding requests by
+    kind (`device.READ`, `device.WRITE`), sample sums and weights, and the
+    key's app id, for `sample`. `bench/spans.py` times `sample`, `on_inject`
+    and `on_complete` by replacing them on this class, so each must stay a
+    method defined here.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self):
-        self.entries = {}  # (page_id, app_id) -> [m_read, m_write, acc_r, acc_w, w_r, w_w]
+        self.entries = {}  # (page_id, app_id) -> record
 
-    def on_inject(self, page_id: int, app_id: int, is_write: bool):
+    def on_inject(self, page_id: int, app_id: int, kind: int):
         e = self.entries.get((page_id, app_id))
         if e is None:
-            e = self.entries[(page_id, app_id)] = [0, 0, 0, 0, 0, 0]
-        e[1 if is_write else 0] += 1
+            e = self.entries[(page_id, app_id)] = [0, 0, 0, 0, 0, 0, app_id]
+        e[kind] += 1
 
-    def on_complete(self, page_id: int, app_id: int, is_write: bool,
+    def on_complete(self, page_id: int, app_id: int, kind: int,
                     store: StatStore) -> PageStats | None:
         """Drop one outstanding request; fold into `store` on the last one.
 
@@ -239,14 +253,14 @@ class HotPageCounters:
         """
         key = (page_id, app_id)
         e = self.entries[key]
-        e[1 if is_write else 0] -= 1
-        if e[0] <= 0 and e[1] <= 0:
-            del self.entries[key]
-            entry = store.get_or_alloc(page_id, app_id)
-            if e[2] or e[3] or e[4] or e[5]:
-                entry.add_samples(e[2], e[4], e[3], e[5])
-            return entry
-        return None
+        e[kind] -= 1
+        if e[0] or e[1]:
+            return None
+        del self.entries[key]
+        entry = store.get_or_alloc(page_id, app_id)
+        if e[2] or e[3] or e[4] or e[5]:
+            entry.add_samples(e[2], e[4], e[3], e[5])
+        return entry
 
     def sample(self, reads_by_app, writes_by_app, count: int = 1):
         """Apply `count` sampling ticks: accumulate m/N for every hot page.
@@ -259,19 +273,23 @@ class HotPageCounters:
         one = MLP_ONE
         acc_max = MLP_ACC_MAX
         w_max = MLP_WEIGHT_MAX
-        for (page_id, app_id), e in self.entries.items():
+        for e in self.entries.values():
             m = e[0]
             if m:
-                n = reads_by_app[app_id]
+                n = reads_by_app[e[6]]
                 if n >= m:
-                    e[2] = min(e[2] + count * ((m * one + n // 2) // n), acc_max)
-                    e[4] = min(e[4] + count * m, w_max)
+                    a = e[2] + count * ((m * one + n // 2) // n)
+                    e[2] = a if a < acc_max else acc_max
+                    a = e[4] + count * m
+                    e[4] = a if a < w_max else w_max
             m = e[1]
             if m:
-                n = writes_by_app[app_id]
+                n = writes_by_app[e[6]]
                 if n >= m:
-                    e[3] = min(e[3] + count * ((m * one + n // 2) // n), acc_max)
-                    e[5] = min(e[5] + count * m, w_max)
+                    a = e[3] + count * ((m * one + n // 2) // n)
+                    e[3] = a if a < acc_max else acc_max
+                    a = e[5] + count * m
+                    e[5] = a if a < w_max else w_max
 
 
 class ThresholdController:

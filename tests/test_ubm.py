@@ -1,12 +1,14 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from hybridmem.device import DRAM_BASELINE, NVM_BASELINE
-from hybridmem.policies import StallTimePolicy, UtilityPolicy
+from hybridmem.device import DRAM_BASELINE, NVM_BASELINE, READ, WRITE
+from hybridmem.policies import FreqPolicy, RblaPolicy, StallTimePolicy, UtilityPolicy
 from hybridmem.ubm import (
-    HotPageCounters, MISS_COUNT_MAX, MLP_ACC_MAX, MLP_ONE, MLP_WEIGHT_MAX, PageStats,
+    ACCESS_COUNT_MAX, HotPageCounters, MISS_COUNT_MAX, MLP_ACC_MAX, MLP_ONE,
+    MLP_WEIGHT_MAX, PageStats,
     StatStore, ThresholdController, avg_mlp_ratio, estimate_speedup,
     gap_stall_reduction, latency_gaps, mlp_quotient, quantize_speedup,
     sensitivity,
@@ -33,8 +35,8 @@ def entry(read_misses=0, write_misses=0, samples_read=(), samples_write=()):
 
 def test_sample_full_overlap():
     hot = HotPageCounters()
-    hot.on_inject(5, 0, False)
-    hot.on_inject(5, 0, False)
+    hot.on_inject(5, 0, READ)
+    hot.on_inject(5, 0, READ)
     hot.sample([2], [0])  # m_read=2, N_read=2
     e = hot.entries[(5, 0)]
     assert e[2] == MLP_ONE          # += 1.0
@@ -43,7 +45,7 @@ def test_sample_full_overlap():
 
 def test_sample_quarter_ratio():
     hot = HotPageCounters()
-    hot.on_inject(5, 0, False)
+    hot.on_inject(5, 0, READ)
     hot.sample([4], [0])  # m_read=1, N_read=4
     e = hot.entries[(5, 0)]
     assert e[2] == MLP_ONE // 4     # += 0.25 exactly
@@ -52,7 +54,7 @@ def test_sample_quarter_ratio():
 
 def test_sample_zero_outstanding_no_update():
     hot = HotPageCounters()
-    hot.on_inject(5, 0, True)       # one write, zero reads
+    hot.on_inject(5, 0, WRITE)      # one write, zero reads
     hot.sample([3], [1])
     e = hot.entries[(5, 0)]
     assert e[2] == 0 and e[4] == 0  # read side untouched
@@ -62,12 +64,61 @@ def test_sample_zero_outstanding_no_update():
 def test_sample_batched_equals_repeated():
     a, b = HotPageCounters(), HotPageCounters()
     for h in (a, b):
-        h.on_inject(1, 0, False)
-        h.on_inject(2, 0, False)
+        h.on_inject(1, 0, READ)
+        h.on_inject(2, 0, READ)
     for _ in range(7):
         a.sample([2], [0])
     b.sample([2], [0], count=7)
     assert a.entries == b.entries
+
+
+def _near(top):
+    """A counter value from 0 to `top`, often at or just below `top`."""
+    return st.one_of(st.just(0), st.integers(max(0, top - 64), top), st.integers(0, top))
+
+
+_hot_records = st.lists(st.tuples(
+    st.integers(0, 2),                                  # app
+    st.integers(0, 4), st.integers(0, 4),               # m_read, m_write
+    _near(MLP_ACC_MAX), _near(MLP_ACC_MAX),             # acc_read, acc_write
+    _near(MLP_WEIGHT_MAX), _near(MLP_WEIGHT_MAX)),      # weight_read, weight_write
+    max_size=6)
+_app_counts = st.lists(st.integers(0, 6), min_size=3, max_size=3)
+_ticks = st.one_of(st.just(1), st.integers(1, 40), st.integers(1, 1 << 26))
+
+
+@given(_hot_records, _app_counts, _app_counts, _ticks)
+def test_sample_saturates_as_the_min_reference(records, reads, writes, count):
+    hot = HotPageCounters()
+    for page, (app, m_read, m_write, *sums) in enumerate(records):
+        for _ in range(m_read):
+            hot.on_inject(page, app, READ)
+        for _ in range(m_write):
+            hot.on_inject(page, app, WRITE)
+        if m_read or m_write:
+            hot.entries[(page, app)][2:6] = sums
+    expected = {}
+    for (page, app), e in hot.entries.items():
+        e = expected[(page, app)] = list(e)
+        for side, by_app in ((0, reads), (1, writes)):
+            m, n = e[side], by_app[app]
+            if m and n >= m:
+                e[2 + side] = min(e[2 + side] + count * mlp_quotient(m, n), MLP_ACC_MAX)
+                e[4 + side] = min(e[4 + side] + count * m, MLP_WEIGHT_MAX)
+    hot.sample(reads, writes, count)
+    assert hot.entries == expected
+
+
+@given(_near(MLP_ACC_MAX), _near(MLP_WEIGHT_MAX), _near(MLP_ACC_MAX), _near(MLP_WEIGHT_MAX),
+       st.lists(st.one_of(st.just(0), st.integers(0, 2 * MLP_ACC_MAX)),
+                min_size=4, max_size=4))
+def test_add_samples_saturates_as_the_min_reference(acc_r, w_r, acc_w, w_w, adds):
+    e = PageStats(0, 0)
+    e.acc_read, e.weight_read, e.acc_write, e.weight_write = acc_r, w_r, acc_w, w_w
+    e.add_samples(*adds)
+    assert (e.acc_read, e.weight_read, e.acc_write, e.weight_write) == (
+        min(acc_r + adds[0], MLP_ACC_MAX), min(w_r + adds[1], MLP_WEIGHT_MAX),
+        min(acc_w + adds[2], MLP_ACC_MAX), min(w_w + adds[3], MLP_WEIGHT_MAX))
 
 
 def test_mlp_quotient_grid():
@@ -81,9 +132,9 @@ def test_mlp_quotient_grid():
 def test_fold_adds_and_resets():
     hot = HotPageCounters()
     store = StatStore()
-    hot.on_inject(9, 1, False)
+    hot.on_inject(9, 1, READ)
     hot.sample([0, 1], [0, 0])   # app 1: ratio 1.0, weight 1
-    assert hot.on_complete(9, 1, False, store) is not None
+    assert hot.on_complete(9, 1, READ, store) is not None
     assert (9, 1) not in hot.entries
     [e] = store.entries_for_page(9)
     assert e.app_id == 1
@@ -93,17 +144,17 @@ def test_fold_adds_and_resets():
 def test_fold_keeps_entry_while_outstanding():
     hot = HotPageCounters()
     store = StatStore()
-    hot.on_inject(9, 1, False)
-    hot.on_inject(9, 1, False)
-    assert hot.on_complete(9, 1, False, store) is None
+    hot.on_inject(9, 1, READ)
+    hot.on_inject(9, 1, READ)
+    assert hot.on_complete(9, 1, READ, store) is None
     assert (9, 1) in hot.entries
 
 
 def test_fold_with_zero_temporaries_allocates_but_adds_nothing():
     hot = HotPageCounters()
     store = StatStore()
-    hot.on_inject(9, 1, False)
-    hot.on_complete(9, 1, False, store)  # never sampled
+    hot.on_inject(9, 1, READ)
+    hot.on_complete(9, 1, READ, store)  # never sampled
     [e] = store.entries_for_page(9)
     assert e.app_id == 1
     assert e.acc_read == 0 and e.weight_read == 0
@@ -211,7 +262,30 @@ _page_entries = st.lists(st.fixed_dictionaries({
 }), min_size=2, max_size=6)
 
 
-@given(fields=_page_entries, gaps=st.sampled_from([BASELINE_GAPS, (100, 100), (1, 3)]))
+def _bits(x: float) -> tuple:
+    """A float's value and the sign of a zero, which `==` does not tell."""
+    return x, math.copysign(1.0, x)
+
+
+# NVM scaled to a tenth of its activation and write-recovery time is faster
+# than DRAM: the gaps are negative, so a read term may be -0.0.
+FAST_NVM_GAPS = latency_gaps(DRAM_BASELINE, NVM_BASELINE.scaled(0.1, 0.1))
+
+
+def test_fast_nvm_gaps_are_negative():
+    assert FAST_NVM_GAPS == (-4, -3)
+
+
+_UNSAMPLED_MISS = {"read_misses": 1, "write_misses": 0, "acc_read": 0, "acc_write": 0,
+                   "weight_read": 0, "weight_write": 0, "sensitivity": 1.0}
+
+
+# With gaps (-4, 3) an entry without write misses pairs a -0.0 read term with
+# a +0.0 write term, the one case where skipping that write term changes the
+# sign of the entry's zero.
+@given(fields=_page_entries,
+       gaps=st.sampled_from([BASELINE_GAPS, (100, 100), (1, 3), FAST_NVM_GAPS, (-4, 3)]))
+@example(fields=[_UNSAMPLED_MISS] * 2, gaps=FAST_NVM_GAPS)   # every term is -0.0
 def test_stall_scores_on_shared_pages_equal_the_reference_sum_exactly(fields, gaps):
     # The policies score a page in one loop; it must give, bit for bit, the
     # per-entry reference summed in set order, weighted and unweighted.
@@ -225,10 +299,28 @@ def test_stall_scores_on_shared_pages_equal_the_reference_sum_exactly(fields, ga
     assert len(entries) == len(fields)
     ctx = _ScoreContext([f["sensitivity"] for f in fields])
     ctx.latency_gaps = gaps
-    assert UtilityPolicy().score(7, store, ctx) == sum(
-        gap_stall_reduction(e, gaps) * ctx.sensitivities[e.app_id] for e in entries)
-    assert StallTimePolicy().score(7, store, ctx) == sum(
-        gap_stall_reduction(e, gaps) for e in entries)
+    assert _bits(UtilityPolicy().score(7, store, ctx)) == _bits(sum(
+        gap_stall_reduction(e, gaps) * ctx.sensitivities[e.app_id] for e in entries))
+    assert _bits(StallTimePolicy().score(7, store, ctx)) == _bits(sum(
+        gap_stall_reduction(e, gaps) for e in entries))
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), _counter(ACCESS_COUNT_MAX),
+                          _counter(MISS_COUNT_MAX), _counter(MISS_COUNT_MAX)), max_size=12))
+def test_count_scores_equal_the_generator_sum(rows):
+    # `freq` and `rbla` sum in a loop; the sums are of integers, so they
+    # equal the generator expressions they replace, as floats.
+    store = StatStore(sets=2, ways=4)
+    for page, app, accesses, read_misses, write_misses in rows:
+        e = store.get_or_alloc(page, app)
+        e.access_count, e.read_misses, e.write_misses = accesses, read_misses, write_misses
+    for page in range(4):
+        entries = store.entries_for_page(page)
+        freq = FreqPolicy().score(page, store, None)
+        rbla = RblaPolicy().score(page, store, None)
+        assert type(freq) is float and type(rbla) is float
+        assert freq == float(sum(e.access_count for e in entries))
+        assert rbla == float(sum(e.read_misses + e.write_misses for e in entries))
 
 
 # -- speedup estimation ---------------------------------------------------------
@@ -330,9 +422,16 @@ def test_threshold_step_is_mean_over_16():
 
 def test_miss_counters_saturate():
     e = PageStats(0, 0)
+    for _ in range(ACCESS_COUNT_MAX + 50):
+        e.count_issue(READ, True)   # a row hit counts no miss
+    assert e.access_count == ACCESS_COUNT_MAX
+    assert e.read_misses == e.write_misses == 0
     for _ in range(MISS_COUNT_MAX + 50):
-        e.count_miss(False)
-    assert e.read_misses == MISS_COUNT_MAX
+        e.count_issue(READ, False)
+    assert e.read_misses == MISS_COUNT_MAX and e.write_misses == 0
+    for _ in range(MISS_COUNT_MAX + 50):
+        e.count_issue(WRITE, False)
+    assert e.write_misses == MISS_COUNT_MAX and e.access_count == ACCESS_COUNT_MAX
 
 
 def test_weights_saturate():
