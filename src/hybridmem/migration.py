@@ -22,6 +22,7 @@ victim go to NVM. Block contents are not modeled, only their movement.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from types import MappingProxyType
 
 from .device import BUFFER_CHANNEL, DRAM_CHANNEL, NVM_CHANNEL, READ, WRITE
 
@@ -30,11 +31,21 @@ IN_SRC = 0
 IN_BUFFER = 1
 IN_DST = 2
 
+# The set of a `TagStore` or `ubm.StatStore` that has never held a key: one
+# shared, read-only mapping, so a store costs one list slot per set until a
+# set is used, and a write that skips giving its set a dict fails.
+EMPTY_SET = MappingProxyType({})
+
 
 class TagStore:
     """Set-associative residency tags for the DRAM page cache: per set, the
     resident pages in LRU order (`_sets`) and the ways `reserve`d for
-    incoming promotions (`_reserved`), each of which `finalize` fills."""
+    incoming promotions (`_reserved`), each of which `finalize` fills.
+
+    A set is `EMPTY_SET` until its first page lands; only `finalize`, the
+    one write that adds a page, gives it its own dict. So a run that never
+    fills a way never builds one, and every read works on either.
+    """
 
     __slots__ = ("associativity", "num_sets", "_sets", "_reserved")
 
@@ -44,7 +55,7 @@ class TagStore:
         self.associativity = associativity
         self.num_sets = dram_pages // associativity
         # Per set: the resident pages, least recently used first.
-        self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        self._sets = [EMPTY_SET] * self.num_sets
         self._reserved = [0] * self.num_sets
 
     def resident(self, page_id: int) -> bool:
@@ -71,11 +82,15 @@ class TagStore:
         i = page_id % self.num_sets
         self._reserved[i] -= 1
         s = self._sets[i]
+        if s is EMPTY_SET:
+            s = self._sets[i] = OrderedDict()
         s[page_id] = None
         s.move_to_end(page_id)
 
     def remove(self, page_id: int):
-        self._sets[page_id % self.num_sets].pop(page_id, None)
+        s = self._sets[page_id % self.num_sets]
+        if page_id in s:
+            del s[page_id]
 
 
 class MigrationJob:

@@ -51,15 +51,30 @@ class ExperimentConfig(RunSettings):
         shared = {f.name: getattr(self, f.name) for f in fields(RunSettings)}
         nvm_timing = load_timing(self.nvm_preset).scaled(self.t_rcd_mult,
                                                          self.t_wr_mult)
-        return SimConfig(
+        config = SimConfig(
             dram_timing=load_timing(self.dram_preset),
             nvm_timing=nvm_timing,
-            dram_geometry=DeviceGeometry(self.dram_bytes, page_bytes=self.page_bytes),
-            nvm_geometry=DeviceGeometry(self.nvm_bytes, page_bytes=self.page_bytes),
+            dram_geometry=self._geometry("dram_bytes"),
+            nvm_geometry=self._geometry("nvm_bytes"),
             controller=ControllerConfig(read_queue_capacity=self.read_queue,
                                         write_buffer_capacity=self.write_buffer),
             **shared,
         )
+        pages, ways = config.dram_geometry.pages, config.tag_associativity
+        if pages % ways:
+            raise ValueError(f"dram_bytes must be a positive multiple of {ways} pages "
+                             f"of {self.page_bytes} bytes, whole {ways}-way tag "
+                             f"sets, not {self.dram_bytes} ({pages} pages)")
+        return config
+
+    def _geometry(self, name: str) -> DeviceGeometry:
+        """The geometry of the device whose size, in whole rows, is field `name`."""
+        size, banks = getattr(self, name), DeviceGeometry.banks
+        # `DeviceGeometry` itself rejects a page size that is not positive.
+        if self.page_bytes > 0 and (size <= 0 or size % (banks * self.page_bytes)):
+            raise ValueError(f"{name} must be a positive whole number of rows, each "
+                             f"{banks} banks of {self.page_bytes}-byte pages, not {size}")
+        return DeviceGeometry(size, page_bytes=self.page_bytes)
 
     def resolved(self) -> dict:
         """The fields that define the simulated result, tuples as lists."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from .device import WRITE, DevTiming, read_miss_latency, write_miss_latency
+from .migration import EMPTY_SET
 
 MLP_FRAC_BITS = 10
 MLP_ONE = 1 << MLP_FRAC_BITS            # 1.0 in accumulator units
@@ -161,14 +162,17 @@ class StatStore:
     for a shared page lands in the same set. LRU replacement within each
     set. A page index lists each page's entries in the order they hold in
     their set, so looking up or dropping a page's entries needs no scan of
-    the set. `bench/spans.py` times `get_or_alloc` and `entries_for_page` by
-    replacing them on this class, so each must stay a method defined here.
+    the set. A set is the shared `migration.EMPTY_SET` until its first
+    entry; only `get_or_alloc`'s allocation gives it its own dict, so a run
+    that keeps no page statistics builds none. `bench/spans.py` times
+    `get_or_alloc` and `entries_for_page` by replacing them on this class,
+    so each must stay a method defined here.
     """
 
     def __init__(self, sets: int = 64, ways: int = 32):
         self.num_sets = sets
         self.ways = ways
-        self.sets = [OrderedDict() for _ in range(sets)]
+        self.sets = [EMPTY_SET] * sets
         self._pages = {}   # page -> [PageStats], in set (LRU) order
         self.evictions = 0
 
@@ -177,7 +181,9 @@ class StatStore:
         key = (page_id, app_id)
         entry = s.get(key)
         if entry is None:
-            if len(s) >= self.ways:
+            if s is EMPTY_SET:
+                s = self.sets[page_id % self.num_sets] = OrderedDict()
+            elif len(s) >= self.ways:
                 # The set's LRU entry is also the LRU one of its page.
                 (page, _app), _ = s.popitem(last=False)
                 entries = self._pages[page]

@@ -1,11 +1,14 @@
 """Unit tests of the DRAM tag store and the migration engine's promotion
 queue, and of the engine's block hand-off against a reference engine."""
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, strategies as st
 
 from hybridmem import simulator
 from hybridmem.device import READ, DeviceGeometry
-from hybridmem.migration import IN_BUFFER, IN_DST, MigrationEngine, TagStore
+from hybridmem.migration import EMPTY_SET, IN_BUFFER, IN_DST, MigrationEngine, TagStore
 from hybridmem.simulator import SimConfig, Simulation
 from hybridmem.trace import Trace, TraceHeader
 
@@ -88,6 +91,48 @@ def test_remove_frees_a_way():
     tag.remove(4)
     assert tag.has_free_way(8) and not tag.resident(4)
     assert _lru_order(tag, 8) == [0, 2, 6]
+
+
+# Eight 2-way sets, and twelve pages that reach only sets 0-2, four per set.
+_TAG_OPS = st.lists(st.tuples(
+    st.sampled_from(["reserve", "finalize", "remove", "touch", "lru_victim",
+                     "has_free_way", "resident"]),
+    st.sampled_from([s + 8 * k for s in range(3) for k in range(4)])), max_size=60)
+
+
+@given(_TAG_OPS)
+def test_tag_store_matches_an_eager_reference(ops):
+    # The reference gives every set its dict up front. A promotion reserves a
+    # way only while its set has one free and lands only on a reserved way,
+    # as `MigrationEngine` does; an op whose rule fails is skipped.
+    tag = TagStore(16, 2)
+    ref, reserved, landed = [OrderedDict() for _ in range(8)], [0] * 8, set()
+    for op, page in ops:
+        s, i = ref[page % 8], page % 8
+        free = len(s) + reserved[i] < 2
+        if op == "reserve":
+            if not free or page in s:
+                continue
+            reserved[i] += 1
+        elif op == "finalize":
+            if not reserved[i] or page in s:
+                continue
+            reserved[i] -= 1
+            s[page] = None
+            landed.add(i)
+        elif op == "remove":
+            s.pop(page, None)
+        elif op == "touch" and page in s:
+            s.move_to_end(page)
+        want = {"lru_victim": next(iter(s), None), "has_free_way": free,
+                "resident": page in s}.get(op)
+        assert getattr(tag, op)(page) == want
+        assert [list(t) for t in tag._sets] == [list(r) for r in ref]
+        assert tag._reserved == reserved
+    # Only a set a page has landed in has a dict of its own; the rest,
+    # sets 3-7 among them, are still the shared empty mapping.
+    assert [s is not EMPTY_SET for s in tag._sets] == [i in landed for i in range(8)]
+    assert len({id(s) for s in tag._sets if s is not EMPTY_SET}) == len(landed)
 
 
 # -- promotion queue ---------------------------------------------------------------

@@ -155,6 +155,12 @@ def test_write_buffer_without_room_for_a_drain_fails_with_clear_message(tmp_path
     ("page_bytes = 32", "page_bytes must be a positive multiple of 64, not 32"),
     ("max_cycles = -5", "max_cycles must be at least 1, not -5"),
     ("max_cycles = 0", "max_cycles must be at least 1, not 0"),
+    ("dram_bytes = 0", "dram_bytes must be a positive whole number of rows, "
+                       "each 8 banks of 8192-byte pages, not 0"),
+    ("nvm_bytes = 100000", "nvm_bytes must be a positive whole number of rows, "
+                           "each 8 banks of 8192-byte pages, not 100000"),
+    ("dram_bytes = 65536", "dram_bytes must be a positive multiple of 16 pages of "
+                           "8192 bytes, whole 16-way tag sets, not 65536 (8 pages)"),
 ])
 def test_run_setting_the_simulator_cannot_run_fails_with_clear_message(
         tmp_path, capsys, setting, message):

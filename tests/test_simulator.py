@@ -16,6 +16,7 @@ from hybridmem.core import AppCore
 from hybridmem.device import (
     BUFFER_CHANNEL, DRAM_CHANNEL, NVM_CHANNEL, READ, DeviceGeometry,
 )
+from hybridmem.migration import EMPTY_SET
 from hybridmem.policies import POLICY_NAMES, UtilityPolicy
 from hybridmem.runner import ExperimentConfig
 from hybridmem.simulator import SimConfig, Simulation
@@ -753,6 +754,22 @@ def test_policies_that_score_pages_keep_page_statistics(policy):
     entries = list(sim.store.iter_entries())
     assert entries and any(e.weight_read for e in entries)   # samples folded in
     assert len(sim.top_pages(5)) == 5
+
+
+@pytest.mark.parametrize("fields", [{"policy": "ubm", "migration_enabled": False},
+                                    {"policy": "all"}], ids=["no-migration", "all"])
+def test_sets_that_never_hold_a_key_build_no_dict(fields):
+    # A 4 GiB DRAM has 32,768 tag sets. A run with no page statistics fills
+    # no stat set, and one with migration off no tag set either.
+    config = _small_config(dram_geometry=DeviceGeometry(4 << 30),
+                           nvm_geometry=DeviceGeometry(16 << 30), **fields)
+    sim = Simulation(config, _spread_mix(0.7))
+    assert len(sim.tag._sets) == 32_768
+    assert all(s is EMPTY_SET for s in sim.tag._sets + sim.store.sets)
+    sim.run()
+    assert sim.finished and all(s is EMPTY_SET for s in sim.store.sets)
+    landed = any(s is not EMPTY_SET for s in sim.tag._sets)
+    assert landed == config.migration_enabled == (sim.engine.pages_promoted > 0)
 
 
 # -- end-to-end properties ---------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from hybridmem.device import DRAM_BASELINE, NVM_BASELINE, READ, WRITE
+from hybridmem.migration import EMPTY_SET
 from hybridmem.policies import FreqPolicy, RblaPolicy, StallTimePolicy, UtilityPolicy
 from hybridmem.ubm import (
     ACCESS_COUNT_MAX, HotPageCounters, MISS_COUNT_MAX, MLP_ACC_MAX, MLP_ONE,
@@ -445,13 +446,17 @@ def _set_scan(store, page):
     return [e for (p, _a), e in store.sets[page % store.num_sets].items() if p == page]
 
 
+_EVEN_PAGES = st.sampled_from(range(0, 20, 2))
+
+
 @given(st.lists(st.one_of(
-    st.tuples(st.just("get"), st.integers(0, 9), st.integers(0, 2)),
-    st.tuples(st.just("invalidate"), st.integers(0, 9))), max_size=80))
+    st.tuples(st.just("get"), _EVEN_PAGES, st.integers(0, 2)),
+    st.tuples(st.just("invalidate"), _EVEN_PAGES)), max_size=80))
 def test_page_index_matches_a_scan_of_the_set(ops):
-    # Two sets of three ways over ten pages shared by three apps: entries
-    # are refreshed, evicted from full sets and invalidated.
-    store = StatStore(sets=2, ways=3)
+    # Four sets of three ways, of which the ten even pages shared by three
+    # apps reach two: entries are refreshed, evicted from full sets and
+    # invalidated.
+    store = StatStore(sets=4, ways=3)
     for op in ops:
         if op[0] == "get":
             entry = store.get_or_alloc(op[1], op[2])
@@ -459,9 +464,13 @@ def test_page_index_matches_a_scan_of_the_set(ops):
         else:
             store.invalidate_page(op[1])
             assert store.entries_for_page(op[1]) == []
-        for page in range(10):
+        for page in range(0, 20, 2):
             assert store.entries_for_page(page) == _set_scan(store, page)
     assert all(len(s) <= 3 for s in store.sets)
+    # A set gets a dict of its own at its first entry, and keeps it.
+    touched = {op[1] % 4 for op in ops if op[0] == "get"}
+    assert [s is not EMPTY_SET for s in store.sets] == [i in touched for i in range(4)]
+    assert len({id(s) for s in store.sets if s is not EMPTY_SET}) == len(touched)
 
 
 def test_stat_store_capacity():
