@@ -1,4 +1,10 @@
-"""Command-line interface: run, sweep, tracegen, report."""
+"""Command-line interface: run, sweep, tracegen, report.
+
+Every table the commands write takes its columns from the rows it is given:
+`sweep.csv` rows and the `report` table list each run's
+`SimReport.summary()`, and the quantum log writes the simulator's rows as
+they are.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import runner
-from .metrics import SimReport, normalize_reports
+from .metrics import SPEEDUPS, SimReport, normalize_reports
 from .policies import POLICY_NAMES
 from .trace import (
     InvalidSpec, PageClass, SynthSpec, TraceError, generate, three_page_spec,
@@ -70,6 +76,16 @@ def _resolve_config(args) -> tuple[runner.ExperimentConfig, runner.SweepSpec | N
     return dataclasses.replace(config, **updates), spec
 
 
+def _write_csv(path: Path, rows: list[dict]):
+    """Write dict rows under the union of their keys, in first-seen order;
+    no rows make an empty file."""
+    with open(path, "w", newline="") as fh:
+        if rows:
+            w = csv.DictWriter(fh, fieldnames=dict.fromkeys(k for r in rows for k in r))
+            w.writeheader()
+            w.writerows(rows)
+
+
 def _write_run_outputs(report: SimReport, outdir: Path, args, suffix: str = ""):
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / f"report{suffix}.json").write_text(report.to_json())
@@ -78,30 +94,14 @@ def _write_run_outputs(report: SimReport, outdir: Path, args, suffix: str = ""):
     if sim is None:
         return
     if sim.quantum_log:
-        with open(outdir / f"quantum_log{suffix}.csv", "w", newline="") as fh:
-            rows = sim.quantum_log
-            keys = ["quantum", "cycle", "total_stall", "threshold",
-                    "pages_promoted", "pages_evicted"]
-            w = csv.writer(fh)
-            w.writerow(keys + ["speedups", "dram_row_hit_rate", "nvm_row_hit_rate"])
-            for r in rows:
-                w.writerow([r[k] for k in keys]
-                           + [";".join(f"{s:.4f}" for s in r["speedups"]),
-                              f"{r['dram']['row_hit_rate']:.4f}",
-                              f"{r['nvm']['row_hit_rate']:.4f}"])
+        _write_csv(outdir / f"quantum_log{suffix}.csv", sim.quantum_log)
     if args.debug_pages:
         if not sim.keeps_page_stats:
             why = ("migration is off" if not sim.config.migration_enabled
                    else f"policy {sim.config.policy} reads none")
             print(f"note: top_pages{suffix}.csv has no rows: the run kept no "
                   f"page statistics ({why})", file=sys.stderr)
-        rows = sim.top_pages(args.debug_pages)
-        with open(outdir / f"top_pages{suffix}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            if rows:
-                w.writerow(rows[0].keys())
-                for r in rows:
-                    w.writerow(r.values())
+        _write_csv(outdir / f"top_pages{suffix}.csv", sim.top_pages(args.debug_pages))
 
 
 def cmd_run(args) -> int:
@@ -117,13 +117,15 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     config, spec = _resolve_config(args)
-    if args.axis:
-        values = runner.parse_sweep_values(args.axis, args.values or "", 1 << 20)
-        spec = runner.SweepSpec(axis=args.axis, values=values)
-    if spec is None:
-        print("sweep: no sweep axis given (use --axis/--values or [sweep] section)",
-              file=sys.stderr)
+    axis = args.axis or (spec and spec.axis)
+    if not axis:
+        print("error: sweep needs an axis: give --axis with --values, or a "
+              "[sweep] section", file=sys.stderr)
         return 2
+    if args.axis or args.values is not None:
+        # Flags replace the configured axis, its values or both.
+        spec = runner.SweepSpec(axis, runner.parse_sweep_values(
+            axis, args.values or "", 1 << 20))
     results = runner.sweep(config, spec, alone=not args.no_alone)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -137,22 +139,9 @@ def cmd_sweep(args) -> int:
             rows.append({"point": tag, "error": str(result)})
             continue
         _write_run_outputs(result, outdir, args, suffix=f"_{tag}")
-        rows.append({
-            "point": tag,
-            "policy": result.policy,
-            "weighted_speedup": result.weighted_speedup,
-            "harmonic_speedup": result.harmonic_speedup,
-            "unfairness": result.unfairness,
-            "total_stall": result.total_stall,
-            "pages_promoted": result.pages_promoted,
-            "energy_j": result.energy.total_j,
-        })
+        rows.append({"point": tag, "policy": result.policy, **result.summary()})
         print(f"point {tag}: wspeedup={result.weighted_speedup}")
-    with open(outdir / "sweep.csv", "w", newline="") as fh:
-        keys = sorted({k for r in rows for k in r})
-        w = csv.DictWriter(fh, fieldnames=keys)
-        w.writeheader()
-        w.writerows(rows)
+    _write_csv(outdir / "sweep.csv", rows)
     return 0 if ok else 1
 
 
@@ -212,21 +201,15 @@ def cmd_report(args) -> int:
             raise ValueError(f"{path}: {exc}") from None
     out = io.StringIO()
     w = csv.writer(out)
-    w.writerow(["policy", "config_hash", "weighted_speedup", "harmonic_speedup",
-                "unfairness", "total_stall", "pages_promoted", "energy_j",
-                "perf_per_watt"])
+    w.writerow(["policy", "config_hash", *reports[0].summary()])
     for r in reports:
-        w.writerow([r.policy, r.config_hash, r.weighted_speedup,
-                    r.harmonic_speedup, r.unfairness, r.total_stall,
-                    r.pages_promoted, r.energy.total_j, r.perf_per_watt])
+        w.writerow([r.policy, r.config_hash, *r.summary().values()])
     if args.baseline:
         normalized = normalize_reports(reports, args.baseline)
         w.writerow([])
-        w.writerow(["policy", "norm_weighted_speedup", "norm_harmonic_speedup",
-                    "norm_unfairness"])
+        w.writerow(["policy", *(f"norm_{m}" for m in SPEEDUPS)])
         for policy, row in normalized.items():
-            w.writerow([policy, row["weighted_speedup"], row["harmonic_speedup"],
-                        row["unfairness"]])
+            w.writerow([policy, *row.values()])
     text = out.getvalue()
     if args.out:
         Path(args.out).write_text(text)

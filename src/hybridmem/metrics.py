@@ -3,6 +3,12 @@
 Speedups compare each application's shared-run IPC against its alone-run
 IPC under the same configuration and policy. Reports serialize to JSON
 (lossless round trip) and CSV (one row per application plus totals).
+
+Each table's column names are declared once here: `SimReport.summary()`
+is the run summary, the headline metrics that the report CSV's metric
+rows, `sweep.csv` and the `hybridmem report` table list; `APP_COUNTERS`
+the per-application counters; `SPEEDUPS` the metrics `normalize_reports`
+compares against a baseline.
 """
 
 from __future__ import annotations
@@ -12,6 +18,13 @@ import hashlib
 import io
 import json
 from dataclasses import MISSING, asdict, dataclass, fields
+
+
+# The speedup metrics, each a `SimReport` field.
+SPEEDUPS = ("weighted_speedup", "harmonic_speedup", "unfairness")
+# The counters an `AppResult` copies from its application's measured window.
+APP_COUNTERS = ("t_stall", "t_delay", "t_interference", "reads", "writes",
+                "row_hits", "row_misses")
 
 
 class MissingAloneRun(ValueError):
@@ -144,35 +157,33 @@ class SimReport:
     def from_json(cls, text: str) -> "SimReport":
         return cls.from_dict(json.loads(text))
 
+    def summary(self) -> dict:
+        """The run's headline metrics, in the order every table lists them."""
+        return {
+            **{m: getattr(self, m) for m in SPEEDUPS},
+            "total_stall": self.total_stall,
+            "pages_promoted": self.pages_promoted,
+            "energy_j": self.energy.total_j,
+            "perf_per_watt": self.perf_per_watt,
+            "elapsed_cycles": self.elapsed_cycles,
+            "pages_evicted": self.pages_evicted,
+            "migration_bytes": self.migration_bytes,
+        }
+
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out)
-        writer.writerow([
-            "row", "app", "policy", "instructions", "cycles", "ipc_shared",
-            "ipc_alone", "speedup", "t_stall", "t_delay", "t_interference",
-            "reads", "writes", "row_hits", "row_misses",
-        ])
+        writer.writerow(["row", "app", "policy", "instructions", "cycles",
+                         "ipc_shared", "ipc_alone", "speedup", *APP_COUNTERS])
         for a in self.apps:
             writer.writerow([
                 "app", a.name, self.policy, a.instructions, a.cycles,
                 f"{a.ipc_shared:.6f}",
                 "" if a.ipc_alone is None else f"{a.ipc_alone:.6f}",
                 "" if a.speedup is None else f"{a.speedup:.6f}",
-                a.t_stall, a.t_delay, a.t_interference,
-                a.reads, a.writes, a.row_hits, a.row_misses,
+                *(getattr(a, c) for c in APP_COUNTERS),
             ])
-        for name, value in [
-            ("elapsed_cycles", self.elapsed_cycles),
-            ("weighted_speedup", self.weighted_speedup),
-            ("harmonic_speedup", self.harmonic_speedup),
-            ("unfairness", self.unfairness),
-            ("total_stall", self.total_stall),
-            ("pages_promoted", self.pages_promoted),
-            ("pages_evicted", self.pages_evicted),
-            ("migration_bytes", self.migration_bytes),
-            ("energy_j", self.energy.total_j),
-            ("perf_per_watt", self.perf_per_watt),
-        ]:
+        for name, value in self.summary().items():
             writer.writerow(["metric", name, self.policy, "" if value is None else value])
         return out.getvalue()
 
@@ -228,11 +239,8 @@ def normalize_reports(reports, baseline_policy: str = "all"):
     if baseline_policy not in by_policy:
         raise ValueError(f"baseline policy {baseline_policy!r} not among reports")
     base = by_policy[baseline_policy]
-    out = {}
-    for r in reports:
-        row = {}
-        for m in ("weighted_speedup", "harmonic_speedup", "unfairness"):
-            v, b = getattr(r, m), getattr(base, m)
-            row[m] = None if (v is None or not b) else v / b
-        out[r.policy] = row
-    return out
+
+    def ratio(r, m):
+        v, b = getattr(r, m), getattr(base, m)
+        return None if (v is None or not b) else v / b
+    return {r.policy: {m: ratio(r, m) for m in SPEEDUPS} for r in reports}

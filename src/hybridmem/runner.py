@@ -8,7 +8,8 @@ which covers the policy, so sweeps do not recompute them.
 `ExperimentConfig` declares the experiment's own fields (traces, device
 sizes and presets, latency multipliers, queue capacities) and inherits the
 rest from `simulator.RunSettings`, which `sim_config()` copies into the
-`SimConfig` unchanged; every setting and its default is declared once.
+`SimConfig` unchanged; every setting and its default is declared once, the
+device and queue defaults by the `SimConfig` they build.
 
 Config files are INI-style. The keys of the `[experiment]` section are
 exactly the `ExperimentConfig` field names, each parsed by its field's
@@ -26,7 +27,7 @@ from dataclasses import dataclass, fields, replace
 
 from .controller import ControllerConfig
 from .device import DeviceGeometry, load_timing
-from .metrics import AppResult, EnergyReport, SimReport, config_hash
+from .metrics import APP_COUNTERS, AppResult, EnergyReport, SimReport, config_hash
 from .simulator import RunSettings, SimConfig, Simulation
 from .trace import Trace
 
@@ -36,15 +37,15 @@ class ExperimentConfig(RunSettings):
     """Resolved description of one experiment point."""
 
     traces: tuple[str, ...] = ()      # paths; in-memory traces may be passed to run()
-    dram_bytes: int = 512 << 20
-    nvm_bytes: int = 16 << 30
-    dram_preset: str = "dram-baseline"
-    nvm_preset: str = "nvm-baseline"
+    dram_bytes: int = SimConfig.dram_geometry.capacity_bytes
+    nvm_bytes: int = SimConfig.nvm_geometry.capacity_bytes
+    dram_preset: str = SimConfig.dram_timing.name
+    nvm_preset: str = SimConfig.nvm_timing.name
     t_rcd_mult: float = 1.0           # NVM activation-time scaling
     t_wr_mult: float = 1.0            # NVM write-recovery scaling
-    page_bytes: int = 8192
-    read_queue: int = 64
-    write_buffer: int = 32
+    page_bytes: int = DeviceGeometry.page_bytes
+    read_queue: int = ControllerConfig.read_queue_capacity
+    write_buffer: int = ControllerConfig.write_buffer_capacity
     seed: int = 0
 
     def sim_config(self) -> SimConfig:
@@ -147,19 +148,9 @@ def run(config: ExperimentConfig, traces=None, alone: bool = True,
     for i, core in enumerate(sim.cores):
         win = sim.measured_window(i)
         apps.append(AppResult(
-            app_id=i,
-            name=core.name,
-            instructions=config.measured_instructions,
-            cycles=win["cycle"],
-            ipc_shared=_ipc(core, win),
-            t_stall=win["t_stall"],
-            t_delay=win["t_delay"],
-            t_interference=win["t_interference"],
-            reads=win["reads"],
-            writes=win["writes"],
-            row_hits=win["row_hits"],
-            row_misses=win["row_misses"],
-        ))
+            app_id=i, name=core.name, instructions=config.measured_instructions,
+            cycles=win["cycle"], ipc_shared=_ipc(core, win),
+            **{c: win[c] for c in APP_COUNTERS}))
 
     dram_dyn, dram_stby, nvm_dyn, nvm_stby = sim.total_energy_joules()
     report = SimReport(

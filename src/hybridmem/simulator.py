@@ -50,7 +50,7 @@ from .controller import (
 )
 from .core import AppCore
 from .device import (
-    BUFFER_CHANNEL, DRAM_BASELINE, DRAM_CHANNEL, NVM_BASELINE, NVM_CHANNEL,
+    BUFFER_CHANNEL, DRAM_BASELINE, NVM_BASELINE, NVM_CHANNEL,
     DevTiming, DeviceGeometry, EnergyMeter, READ, WRITE,
 )
 from .migration import MigrationEngine, TagStore
@@ -452,17 +452,15 @@ class Simulation:
         if self.config.stat_decay:
             self.store.halve_all()
         if self.config.collect_quantum_log:
-            self.quantum_log.append({
-                "quantum": self.quantum_index,
-                "cycle": cycle,
-                "total_stall": total_stall,
-                "threshold": self.threshold.threshold,
-                "speedups": list(speedups),
-                "dram": self.controllers[DRAM_CHANNEL].stats_snapshot(),
-                "nvm": self.controllers[NVM_CHANNEL].stats_snapshot(),
-                "pages_promoted": self.engine.pages_promoted,
-                "pages_evicted": self.engine.pages_evicted,
-            })
+            # One flat row: its keys are the quantum log's columns.
+            row = {"quantum": self.quantum_index, "cycle": cycle,
+                   "total_stall": total_stall, "threshold": self.threshold.threshold,
+                   "pages_promoted": self.engine.pages_promoted,
+                   "pages_evicted": self.engine.pages_evicted,
+                   "speedups": ";".join(map(str, speedups))}
+            for device, ctrl in zip(("dram", "nvm"), self.controllers):
+                row.update({f"{device}_{k}": v for k, v in ctrl.stats_snapshot().items()})
+            self.quantum_log.append(row)
         self.quantum_index += 1
         self._push(cycle + q, _EV_QUANTUM, None)
 

@@ -1,6 +1,8 @@
 """End-to-end tests of the runner and the CLI: trace -> simulation -> report."""
 
+import argparse
 import ast
+import csv
 import dataclasses
 import re
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 
 import hybridmem
 from hybridmem import cli, runner
+from hybridmem.metrics import SimReport
 from hybridmem.migration import TagStore
 from hybridmem.runner import ExperimentConfig, load_experiment_config
 from hybridmem.simulator import RunSettings, SimConfig
@@ -314,6 +317,74 @@ def test_quantum_log_from_config_file_is_written(tmp_path):
     rows = (out / "quantum_log.csv").read_text().splitlines()
     assert rows[0].startswith("quantum,cycle,total_stall,threshold")
     assert len(rows) > 2
+
+
+def test_quantum_log_columns_are_the_keys_of_its_rows(tmp_path):
+    config = _tiny_config(_write_traces(tmp_path), collect_quantum_log=True)
+    report = runner.run(config, alone=False)
+    rows = report._sim.quantum_log
+    cli._write_run_outputs(report, tmp_path, argparse.Namespace(debug_pages=0))
+    with open(tmp_path / "quantum_log.csv", newline="") as fh:
+        header = next(csv.reader(fh))
+    assert len(rows) > 1 and all(list(row) == header for row in rows)
+    assert header[:4] == ["quantum", "cycle", "total_stall", "threshold"]
+    assert {"dram_row_hit_rate", "nvm_row_hit_rate"} <= set(header)
+
+
+def _metric_rows(report_csv: Path) -> dict:
+    with open(report_csv, newline="") as fh:
+        return {row[1]: row[3] for row in csv.reader(fh) if row[0] == "metric"}
+
+
+def test_cli_sweep_writes_one_report_per_point_and_a_summary_row_each(tmp_path):
+    traces = _write_traces(tmp_path)
+    out = tmp_path / "out"
+    argv = ["sweep", *(a for t in traces for a in ("--trace", t)), "--nvm-mb", "16",
+            "--quantum", "5000", "--warmup", "2000", "--measured", "20000",
+            "--axis", "dram_size", "--values", "1,2", "--out", str(out)]
+    assert cli.main(argv) == 0
+    points = ["1048576", "2097152"]
+    assert sorted(p.name for p in out.glob("report_*.json")) == [
+        f"report_{p}.json" for p in points]
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["point"] for row in rows] == points
+    for row in rows:
+        metrics = _metric_rows(out / f"report_{row['point']}.csv")
+        assert {k: row[k] for k in metrics} == metrics
+
+    merged = tmp_path / "merged.csv"
+    jsons = [str(out / f"report_{p}.json") for p in points]
+    assert cli.main(["report", *jsons, "--out", str(merged)]) == 0
+    summary = SimReport.from_json(Path(jsons[0]).read_text()).summary()
+    assert merged.read_text().splitlines()[0] == ",".join(
+        ["policy", "config_hash", *summary])
+
+
+def _sweep_ini(tmp_path, sweep: str) -> Path:
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[experiment]\ntraces = {_write_traces(tmp_path, n=1)[0]}\n"
+                   "nvm_bytes = 16777216\nquantum_cycles = 5000\n"
+                   "measured_instructions = 20000\n" + sweep)
+    return ini
+
+
+def test_cli_sweep_values_replace_the_configured_axis_values(tmp_path):
+    ini = _sweep_ini(tmp_path, "[sweep]\naxis = dram_size\nvalues = 1048576\n")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(ini), "--values", "2", "--no-alone",
+                     "--out", str(out)]) == 0
+    assert [p.name for p in out.glob("report_*.json")] == ["report_2097152.json"]
+
+
+def test_cli_sweep_values_without_any_axis_fail_naming_the_flag(tmp_path, capsys):
+    ini = _sweep_ini(tmp_path, "")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(ini), "--values", "1,2",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--axis" in err
+    assert not out.exists()
 
 
 # -- one declaration per setting -------------------------------------------------
