@@ -16,11 +16,10 @@ import sys
 from pathlib import Path
 
 from . import runner
+from .fields import read_fields
 from .metrics import SPEEDUPS, SimReport, normalize_reports
 from .policies import POLICY_NAMES
-from .trace import (
-    InvalidSpec, PageClass, SynthSpec, TraceError, generate, three_page_spec,
-)
+from .trace import PageClass, SynthSpec, TraceError, generate, three_page_spec
 
 
 def _mib(text: str) -> int:
@@ -145,27 +144,11 @@ def cmd_sweep(args) -> int:
     return 0 if ok else 1
 
 
-# `--page-class` fields and how each value parses.
-_CLASS_FIELDS = {"pages": int, "burst": int, "page_stride": int,
-                 "weight": float, "row_hit_prob": float, "read_fraction": float}
-
-
 def _parse_class(text: str) -> PageClass:
-    kwargs = {}
-    for item in text.split(","):
-        key, _, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        convert = _CLASS_FIELDS.get(key)
-        if convert is None:
-            raise InvalidSpec(f"unknown class field {key!r}")
-        if not value:
-            raise InvalidSpec(f"class field {key!r} needs a value")
-        try:
-            kwargs[key] = convert(value)
-        except ValueError:
-            raise InvalidSpec(f"class field {key!r} needs {convert.__name__} value, "
-                              f"got {value!r}") from None
-    return PageClass(**kwargs)
+    """A `--page-class` spec: comma-separated `PageClass` `field=value` items."""
+    entries = [(None, key.strip(), value.strip())
+               for key, _, value in (item.partition("=") for item in text.split(","))]
+    return PageClass(**read_fields(PageClass, "--page-class", entries))
 
 
 def cmd_tracegen(args) -> int:
@@ -244,12 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--accesses", type=int, default=100_000)
     pt.add_argument("--mpki", type=float)
     pt.add_argument("--pages", type=int, default=1024)
-    pt.add_argument("--burst", type=int, default=1)
-    pt.add_argument("--row-hit-prob", type=float, default=0.0)
-    pt.add_argument("--read-fraction", type=float, default=0.7)
-    pt.add_argument("--seed", type=int, default=0)
+    pt.add_argument("--burst", type=int, default=PageClass.burst)
+    pt.add_argument("--row-hit-prob", type=float, default=PageClass.row_hit_prob)
+    pt.add_argument("--read-fraction", type=float, default=SynthSpec.read_fraction)
+    pt.add_argument("--seed", type=int, default=SynthSpec.seed)
     pt.add_argument("--page-class", action="append",
-                    help="class spec 'pages=64,burst=4,row_hit_prob=0.5,weight=1'; "
+                    help="class spec 'pages=64,burst=4,row_hit_prob=0.5,weight=1', "
+                         "one item per PageClass field (page_ids space-separated); "
                          "repeatable")
     pt.set_defaults(func=cmd_tracegen)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace, fields
 
+from .fields import read_fields
+
 # Request kinds / row-buffer outcomes. Plain ints: these sit on the
 # simulator's hottest paths.
 READ = 0
@@ -76,9 +78,9 @@ class DeviceGeometry:
     page_bytes: int = 8192
 
     def __post_init__(self):
-        for name in ("capacity_bytes", "banks", "page_bytes"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, not {getattr(self, name)}")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive, not {getattr(self, f.name)}")
         if self.capacity_bytes % (self.banks * self.page_bytes) != 0:
             raise ValueError("capacity must be a whole number of rows")
 
@@ -247,32 +249,21 @@ NVM_BASELINE = DevTiming(
 
 PRESETS = {t.name: t for t in (DRAM_BASELINE, NVM_BASELINE)}
 
-_FIELD_KEYS = {
-    "clock_period": "clock_period_ns",
-    "t_cl": "t_cl_ns",
-    "t_rcd": "t_rcd_ns",
-    "t_rp": "t_rp_ns",
-    "t_wr": "t_wr_ns",
-    "array_read_energy": "array_read_pj_bit",
-    "array_write_energy": "array_write_pj_bit",
-    "rb_read_energy": "rb_read_pj_bit",
-    "rb_write_energy": "rb_write_pj_bit",
-    "standby_power": "standby_uw_bit",
-}
-
 
 def load_timing(source) -> DevTiming:
     """Load a timing/energy preset.
 
     `source` is either a built-in preset name ("dram-baseline",
     "nvm-baseline") or a path to a plain-text file of `key = value` lines
-    (ns for times, pJ/bit for energies, uW/bit for standby power; `#`
-    starts a comment).
+    (`#` starts a comment), one per `DevTiming` field: `clock_period_ns`,
+    `t_cl_ns`, `t_rcd_ns`, `t_rp_ns`, `t_wr_ns` in ns; `array_read_pj_bit`,
+    `array_write_pj_bit`, `rb_read_pj_bit`, `rb_write_pj_bit` in pJ/bit;
+    `standby_uw_bit` in uW/bit; and optionally `name` (default: the path).
     """
     name = str(source)
     if name in PRESETS:
         return PRESETS[name]
-    kwargs = {}
+    entries = []
     with open(source, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -281,19 +272,7 @@ def load_timing(source) -> DevTiming:
             if "=" not in line:
                 raise ValueError(f"{source}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            key = key.strip().lower()
-            if key == "name":
-                kwargs["name"] = value.strip()
-                continue
-            if key not in _FIELD_KEYS:
-                raise ValueError(f"{source}:{lineno}: unknown key {key!r}")
-            try:
-                kwargs[_FIELD_KEYS[key]] = float(value)
-            except ValueError:
-                raise ValueError(f"{source}:{lineno}: {key} is not a number: "
-                                 f"{value.strip()!r}") from None
-    kwargs.setdefault("name", str(source))
-    missing = {f.name for f in fields(DevTiming)} - set(kwargs)
-    if missing:
-        raise ValueError(f"{source}: missing keys for {sorted(missing)}")
-    return DevTiming(**kwargs)
+            entries.append((lineno, key.strip().lower(), value.strip()))
+    if all(key != "name" for _, key, _ in entries):
+        entries.append((None, "name", name))
+    return DevTiming(**read_fields(DevTiming, source, entries))

@@ -17,7 +17,9 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass
+
+from .fields import json_object, read_fields
 
 
 # The speedup metrics, each a `SimReport` field.
@@ -145,8 +147,6 @@ class SimReport:
     def from_dict(cls, data: dict) -> "SimReport":
         """Rebuild a report; ValueError names what does not fit the schema."""
         data = _fields_of(cls, data, "report")
-        if not isinstance(data["apps"], list):
-            raise ValueError("report 'apps' is not a list")
         data["apps"] = [AppResult(**_fields_of(AppResult, a, f"report app {i}"))
                         for i, a in enumerate(data["apps"])]
         data["energy"] = EnergyReport(**_fields_of(EnergyReport, data["energy"],
@@ -155,7 +155,7 @@ class SimReport:
 
     @classmethod
     def from_json(cls, text: str) -> "SimReport":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(json.loads(text, object_pairs_hook=json_object))
 
     def summary(self) -> dict:
         """The run's headline metrics, in the order every table lists them."""
@@ -188,42 +188,11 @@ class SimReport:
         return out.getvalue()
 
 
-# The JSON values each scalar annotation of the report classes accepts. The
-# nested `apps` and `energy` are checked as they are rebuilt.
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict}
-
-
-def _type_problem(f, value) -> str | None:
-    annotation = f.type
-    if annotation.endswith(" | None"):
-        if value is None:
-            return None
-        annotation = annotation.removesuffix(" | None")
-    want = _JSON_TYPES.get(annotation)
-    if want is None or (isinstance(value, want) and not isinstance(value, bool)):
-        return None
-    return f"{f.name} is {json.dumps(value)}, not {f.type}"
-
-
 def _fields_of(cls, data, what: str) -> dict:
-    """`data` as keyword arguments of dataclass `cls`, checked by name and
-    by each value's type."""
+    """JSON object `data` as keyword arguments of dataclass `cls`."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} is not a JSON object")
-    declared = fields(cls)
-    missing = [f.name for f in declared
-               if f.default is MISSING and f.name not in data]
-    unexpected = sorted(data.keys() - {f.name for f in declared})
-    problems = []
-    if missing:
-        problems.append(f"missing keys {', '.join(missing)}")
-    if unexpected:
-        problems.append(f"unexpected keys {', '.join(unexpected)}")
-    problems += [p for f in declared if f.name in data
-                 if (p := _type_problem(f, data[f.name])) is not None]
-    if problems:
-        raise ValueError(f"{what}: {'; '.join(problems)}")
-    return dict(data)
+    return read_fields(cls, what, ((None, k, v) for k, v in data.items()), decoded=True)
 
 
 def normalize_reports(reports, baseline_policy: str = "all"):

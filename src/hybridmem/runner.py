@@ -13,11 +13,10 @@ device and queue defaults by the `SimConfig` they build.
 
 Config files are INI-style. The keys of the `[experiment]` section are
 exactly the `ExperimentConfig` field names, each parsed by its field's
-type. The two list fields have their own formats: `traces` is a
-comma-separated list of paths, `preload_dram_pages` a comma- or
-space-separated list of page numbers. An optional `[sweep]` section has
-`axis` (`dram_size` or `nvm_latency`) and `values` (see
-`parse_sweep_values`).
+type as `fields.TYPES` says: `traces` is a comma-separated list of paths,
+`preload_dram_pages` a comma- or space-separated list of page numbers.
+An optional `[sweep]` section has `axis` (`dram_size` or `nvm_latency`)
+and `values` (see `parse_sweep_values`).
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from dataclasses import dataclass, fields, replace
 
 from .controller import ControllerConfig
 from .device import DeviceGeometry, load_timing
+from .fields import read_fields
 from .metrics import APP_COUNTERS, AppResult, EnergyReport, SimReport, config_hash
 from .simulator import RunSettings, SimConfig, Simulation
 from .trace import Trace
@@ -140,9 +140,12 @@ def run(config: ExperimentConfig, traces=None, alone: bool = True,
         alone_cache: dict | None = None) -> SimReport:
     """Simulate the mix; optionally add alone-run IPCs and speedup metrics."""
     traces = _load_traces(config, traces)
+    # A path says where a trace is, not what it holds: the config hash and
+    # the alone-run cache key name each trace by its content digest.
+    digests = [t.digest() for t in traces]
     sim = _simulate(config, traces)
     resolved = config.resolved()
-    chash = config_hash(resolved)
+    chash = config_hash({**resolved, "traces": digests} if config.traces else resolved)
 
     apps = []
     for i, core in enumerate(sim.cores):
@@ -168,8 +171,8 @@ def run(config: ExperimentConfig, traces=None, alone: bool = True,
     )
 
     if alone:
-        for i, tr in enumerate(traces):
-            apps[i].ipc_alone = alone_ipc(config, tr, alone_cache)
+        for app, trace, digest in zip(apps, traces, digests):
+            app.ipc_alone = alone_ipc(config, trace, alone_cache, digest)
         report.compute_speedups()
     report._sim = sim  # transient handle for callers that inspect state
     return report
@@ -185,8 +188,9 @@ def _ipc(core, win: dict) -> float:
 
 
 def alone_ipc(config: ExperimentConfig, trace: Trace,
-              cache: dict | None = None) -> float:
-    """IPC of one trace run in isolation under the same config and policy.
+              cache: dict | None = None, digest: str | None = None) -> float:
+    """IPC of one trace run in isolation under the same config and policy;
+    `digest` is `trace.digest()`, if the caller has it.
 
     `bench/spans.py` times this by replacing it in the module, so it must
     stay a module-level function that `run` calls by its global name.
@@ -194,7 +198,7 @@ def alone_ipc(config: ExperimentConfig, trace: Trace,
     alone_cfg = replace(config, traces=())
     if cache is None:
         return _alone(alone_cfg, trace)
-    key = (trace.digest(), config_hash(alone_cfg.resolved()))
+    key = (digest or trace.digest(), config_hash(alone_cfg.resolved()))
     if key not in cache:
         cache[key] = _alone(alone_cfg, trace)
     return cache[key]
@@ -225,18 +229,6 @@ def sweep(config: ExperimentConfig, spec: SweepSpec, traces=None,
 # ---------------------------------------------------------------------------
 # Config file parsing
 
-_CONFIG_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
-# Parser of one INI value, by the field's annotated type.
-_FROM_TEXT = {
-    "str": str.strip,
-    "int": int,
-    "int | None": int,
-    "float": float,
-    "tuple[str, ...]": lambda raw: tuple(t.strip() for t in raw.split(",")
-                                         if t.strip()),
-    "tuple[int, ...]": lambda raw: tuple(int(t) for t in raw.replace(",", " ").split()),
-}
-
 
 def parse_sweep_values(axis: str, text: str, dram_unit: int = 1) -> tuple:
     """Sweep values from text.
@@ -255,18 +247,9 @@ def load_experiment_config(path) -> tuple[ExperimentConfig, SweepSpec | None]:
     try:
         if not parser.read(path):
             raise FileNotFoundError(path)
-        kwargs = {}
-        if parser.has_section("experiment"):
-            section = parser["experiment"]
-            for key in section:
-                if key not in _CONFIG_FIELDS:
-                    raise ValueError(f"{path}: unknown experiment key {key!r}")
-                ftype = _CONFIG_FIELDS[key].type
-                try:
-                    kwargs[key] = (section.getboolean(key) if ftype == "bool"
-                                   else _FROM_TEXT[ftype](section[key]))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: {key}: {exc}") from exc
+        section = parser["experiment"] if parser.has_section("experiment") else {}
+        kwargs = read_fields(ExperimentConfig, path,
+                             ((None, key, text) for key, text in section.items()))
         spec = None
         if parser.has_section("sweep"):
             axis = parser.get("sweep", "axis")

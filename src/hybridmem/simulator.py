@@ -568,7 +568,7 @@ class Simulation:
         rows = []
         for e in self.store.iter_entries():
             r_read, r_write = ubm.avg_mlp_ratio(e)
-            dstall = ubm.gap_stall_reduction(e, self.latency_gaps)
+            dstall = ubm.page_stall_reduction((e,), self.latency_gaps)
             rows.append({
                 "page": e.page_id,
                 "app": e.app_id,

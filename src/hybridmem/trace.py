@@ -31,10 +31,12 @@ import random
 import sys
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from .device import READ, WRITE
+from .controller import BLOCK_BYTES
+from .device import READ, WRITE, DeviceGeometry
+from .fields import read_fields
 
 MAGIC_BINARY = "HMT1"
 MAGIC_TEXT = "HMTX1"
@@ -89,10 +91,12 @@ class TraceHeader:
     version: str = MAGIC_BINARY
 
     def validate(self):
-        if self.version not in (MAGIC_BINARY, MAGIC_TEXT):
-            raise UnsupportedVersion(f"unknown trace version {self.version!r}")
         if self.instructions <= 0:
             raise TraceError("instruction count must be > 0")
+
+
+# The header's `key=value` lines; the magic line gives `version`.
+_HEADER_KEYS = tuple(f.name for f in fields(TraceHeader) if f.name != "version")
 
 
 def _field_max(typecode: str) -> int:
@@ -215,9 +219,10 @@ class Trace:
     def save(self, path):
         """Write the trace; the extension picks the format (.hmt or .hmtx)."""
         binary = not str(path).endswith(".hmtx")
+        lines = (f"{k}={getattr(self.header, k)}\n" for k in _HEADER_KEYS)
         with open(path, "wb") as fh:
-            fh.write(_format_header(MAGIC_BINARY if binary else MAGIC_TEXT,
-                                    self.header))
+            fh.write(f"{MAGIC_BINARY if binary else MAGIC_TEXT}\n{''.join(lines)}"
+                     f"{HEADER_END}\n".encode("ascii"))
             if binary:
                 fh.write(self._records())
             else:
@@ -226,8 +231,7 @@ class Trace:
 
     def digest(self) -> str:
         h = hashlib.sha256()
-        h.update(f"{self.header.app}|{self.header.instructions}|"
-                 f"{self.header.address_space}".encode())
+        h.update("|".join(str(getattr(self.header, k)) for k in _HEADER_KEYS).encode())
         h.update(self._records())
         return h.hexdigest()[:16]
 
@@ -276,54 +280,28 @@ class TraceEvents(Sequence):
         return NotImplemented
 
 
-def _format_header(magic: str, header: TraceHeader) -> bytes:
-    lines = [
-        magic,
-        f"app={header.app}",
-        f"instructions={header.instructions}",
-        f"address_space={header.address_space}",
-        HEADER_END,
-    ]
-    return ("\n".join(lines) + "\n").encode("ascii")
-
-
 def _read_header(fh, path) -> tuple[TraceHeader, int]:
-    """Parse the text header; returns (header, byte offset of the body)."""
-    fields = {}
-    magic = None
-    offset = 0
-    while True:
-        line = fh.readline()
-        if not line:
-            raise TraceError(f"{path}: truncated header")
+    """Parse the text header; returns (header, byte offset of the body).
+
+    The magic line gives the `version` field, and each later line up to
+    HEADER_END one `key=value` field.
+    """
+    entries, offset = [], 0
+    for lineno, line in enumerate(iter(fh.readline, b""), 1):
         offset += len(line)
         text = line.decode("ascii", errors="replace").strip()
-        if magic is None:
-            magic = text
-            if magic not in (MAGIC_BINARY, MAGIC_TEXT):
-                raise UnsupportedVersion(f"{path}: unknown trace version {magic!r}")
-            continue
+        if lineno == 1 and text not in (MAGIC_BINARY, MAGIC_TEXT):
+            raise UnsupportedVersion(f"{path}: unknown trace version {text!r}")
         if text == HEADER_END:
             break
-        key, _, value = text.partition("=")
-        fields[key.strip()] = value.strip()
-
-    def integer(key):
-        try:
-            return int(fields[key])
-        except ValueError:
-            raise TraceError(f"{path}: header {key}={fields[key]!r} "
-                             f"is not an integer") from None
-
+        key, _, value = ("version", "=", text) if lineno == 1 else text.partition("=")
+        entries.append((None, key.strip(), value.strip()))
+    else:
+        raise TraceError(f"{path}: truncated header")
     try:
-        header = TraceHeader(
-            app=fields["app"],
-            instructions=integer("instructions"),
-            address_space=integer("address_space"),
-            version=magic,
-        )
-    except KeyError as e:
-        raise TraceError(f"{path}: header missing {e}") from None
+        header = TraceHeader(**read_fields(TraceHeader, path, entries))
+    except ValueError as e:
+        raise TraceError(str(e)) from None
     try:
         header.validate()
     except TraceError as e:
@@ -426,8 +404,8 @@ class SynthSpec:
     classes: tuple[PageClass, ...]
     read_fraction: float = 0.7
     seed: int = 0
-    page_bytes: int = 8192
-    block_bytes: int = 64
+    page_bytes: int = DeviceGeometry.page_bytes
+    block_bytes: int = BLOCK_BYTES
     first_page: int = 0
     interleave: str = "weighted"  # or "round_robin"
 

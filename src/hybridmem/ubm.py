@@ -103,20 +103,13 @@ def latency_gaps(dram: DevTiming, nvm: DevTiming) -> tuple[int, int]:
             write_miss_latency(nvm) - write_miss_latency(dram))
 
 
-def gap_stall_reduction(entry: PageStats, gaps: tuple[int, int]) -> float:
-    """Stall cycles saved per quantum, given the `latency_gaps`."""
-    d_read, d_write = gaps
-    r_read, r_write = avg_mlp_ratio(entry)
-    return (entry.read_misses * d_read * r_read
-            + WRITE_CRITICALITY_P * entry.write_misses * d_write * r_write)
-
-
 def page_stall_reduction(entries, gaps: tuple[int, int], weights=None) -> float:
-    """`gap_stall_reduction` summed over a page's entries, each times
-    `weights[app_id]` if given; in one loop, with the same float expression
-    added in the same order, so the sum is exactly equal. An entry without
-    write misses skips its write term, a zero, which changes no sum: `total`
-    starts as int 0, so it is never -0.0.
+    """Stall cycles per quantum that moving a page to DRAM saves, given the
+    `latency_gaps`: each entry's misses times the gap and its average MLP
+    ratio (`avg_mlp_ratio`), writes weighted by WRITE_CRITICALITY_P,
+    summed over the page's entries, each times `weights[app_id]` if given.
+    An entry without write misses skips its write term, a zero, which
+    changes no sum: `total` starts as int 0, so it is never -0.0.
     """
     d_read, d_write = gaps
     total = 0

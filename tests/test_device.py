@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -151,16 +152,16 @@ def test_preset_file_round_trip(tmp_path):
     path = tmp_path / "custom.cfg"
     path.write_text(
         "name = custom\n"
-        "clock_period = 1.875\n"
-        "t_cl = 15\n"
-        "t_rcd = 30   # twice dram\n"
-        "t_rp = 15\n"
-        "t_wr = 45\n"
-        "array_read_energy = 2.0\n"
-        "array_write_energy = 8.0\n"
-        "rb_read_energy = 0.93\n"
-        "rb_write_energy = 1.02\n"
-        "standby_power = 21\n"
+        "clock_period_ns = 1.875\n"
+        "t_cl_ns = 15\n"
+        "t_rcd_ns = 30   # twice dram\n"
+        "t_rp_ns = 15\n"
+        "t_wr_ns = 45\n"
+        "array_read_pj_bit = 2.0\n"
+        "array_write_pj_bit = 8.0\n"
+        "rb_read_pj_bit = 0.93\n"
+        "rb_write_pj_bit = 1.02\n"
+        "standby_uw_bit = 21\n"
     )
     t = load_timing(path)
     assert t.name == "custom"
@@ -170,18 +171,31 @@ def test_preset_file_round_trip(tmp_path):
 
 def test_preset_file_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("t_cl = 15\nbogus_key = 3\n")
-    with pytest.raises(ValueError, match="unknown key"):
+    bad.write_text("t_cl_ns = 15\nbogus_key = 3\n")
+    with pytest.raises(ValueError, match="unexpected keys bogus_key"):
         load_timing(bad)
     partial = tmp_path / "partial.cfg"
-    partial.write_text("t_cl = 15\n")
+    partial.write_text("t_cl_ns = 15\n")
     with pytest.raises(ValueError, match="missing keys"):
         load_timing(partial)
+    repeated = tmp_path / "repeated.cfg"
+    repeated.write_text("t_cl_ns = 15\nt_cl_ns = 20\n")
+    with pytest.raises(ValueError, match=f"^{repeated}:2: repeated key t_cl_ns='20'; "):
+        load_timing(repeated)
+
+
+def test_timing_file_round_trip_sets_every_field(tmp_path):
+    # Each key is a DevTiming field name; the values match neither preset.
+    names = [f.name for f in dataclasses.fields(DevTiming)]
+    timing = DevTiming("custom", *(1.5 + i for i in range(len(names) - 1)))
+    path = tmp_path / "custom.cfg"
+    path.write_text("".join(f"{n} = {getattr(timing, n)}\n" for n in names))
+    assert load_timing(path) == timing
 
 
 def test_preset_file_value_that_is_not_a_number_names_its_line(tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("# custom\nt_cl = abc\n")
+    bad.write_text("# custom\nt_cl_ns = abc\n")
     with pytest.raises(ValueError) as err:
         load_timing(bad)
-    assert str(err.value) == f"{bad}:2: t_cl is not a number: 'abc'"
+    assert str(err.value).startswith(f"{bad}:2: t_cl_ns is 'abc', not float; ")

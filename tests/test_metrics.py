@@ -102,10 +102,10 @@ def _damaged(change):
 @pytest.mark.parametrize("data, message", [
     ({"policy": "ubm"}, r"^report: missing keys config, config_hash, .*apps, energy$"),
     ([1, 2], r"^report is not a JSON object$"),
-    (_damaged(lambda d: d.update(extra=1)), r"^report: unexpected keys extra$"),
+    (_damaged(lambda d: d.update(extra=1)), r"^report: unexpected keys extra=1$"),
     (_damaged(lambda d: d["apps"][0].pop("cycles")), r"^report app 0: missing keys cycles$"),
-    (_damaged(lambda d: d.update(apps=3)), r"^report 'apps' is not a list$"),
-    (_damaged(lambda d: d["energy"].update(x=0)), r"^report 'energy': unexpected keys x$"),
+    (_damaged(lambda d: d.update(apps=3)), r"^report: apps is 3, not list$"),
+    (_damaged(lambda d: d["energy"].update(x=0)), r"^report 'energy': unexpected keys x=0$"),
     (_damaged(lambda d: d["energy"].update(nvm_standby_j="x")),
      r"^report 'energy': nvm_standby_j is \"x\", not float$"),
     (_damaged(lambda d: d["apps"][0].update(ipc_shared=None)),

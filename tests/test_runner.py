@@ -11,11 +11,13 @@ import pytest
 
 import hybridmem
 from hybridmem import cli, runner
-from hybridmem.metrics import SimReport
+from hybridmem.device import DevTiming
+from hybridmem.fields import TYPES
+from hybridmem.metrics import AppResult, EnergyReport, SimReport
 from hybridmem.migration import TagStore
 from hybridmem.runner import ExperimentConfig, load_experiment_config
 from hybridmem.simulator import RunSettings, SimConfig
-from hybridmem.trace import PageClass, SynthSpec, Trace, generate
+from hybridmem.trace import PageClass, SynthSpec, Trace, TraceHeader, generate
 
 SRC = Path(hybridmem.__file__).resolve().parent
 
@@ -125,6 +127,11 @@ def test_ini_round_trip_and_cli_flags_match(tmp_path):
      "nvm_latency sweep value (1.0, 1.0, 1.0) is not a pair"),
     ("[sweep]\naxis = dram_size\nvalues = 0 1024\n",
      "dram_size sweep value 0 is not a positive byte count"),
+    # Every experiment field has a default, so none can be missing.
+    ("[experiment]\ncolour = red\n", "unexpected keys colour='red'"),
+    ("[experiment]\npolicy = ubm\npolicy = all\n",
+     "option 'policy' in section 'experiment' already exists"),
+    ("[experiment]\nmigration_enabled = maybe\n", "migration_enabled is 'maybe', not bool"),
 ])
 def test_bad_config_fails_with_clear_message(tmp_path, capsys, text, message):
     ini = tmp_path / "bad.ini"
@@ -180,7 +187,7 @@ def test_bad_trace_header_fails_with_path_and_key(tmp_path, capsys):
     trace.write_bytes(b"HMT1\napp=x\ninstructions=ten\naddress_space=8192\n%%\n")
     assert cli.main(["run", "--trace", str(trace), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {trace}: ") and "instructions='ten'" in err
+    assert err == f"error: {trace}: instructions is 'ten', not int\n"
 
 
 def test_run_of_a_trace_without_records_fails_with_clear_message(tmp_path, capsys):
@@ -223,6 +230,31 @@ def test_cli_tracegen_run_report(tmp_path, capsys):
     assert any(line.startswith("all,1.0,1.0,1.0") for line in lines)
 
 
+def test_config_hash_names_each_trace_by_its_content(tmp_path):
+    # One trace under two paths is one experiment; a one-record change is not.
+    first = tmp_path / "a" / "t.hmt"
+    first.parent.mkdir()
+    assert cli.main(["tracegen", "--out", str(first), "--accesses", "1500",
+                     "--pages", "128"]) == 0
+    trace = Trace.from_file(first)
+    copy, changed = tmp_path / "b" / "t.hmt", tmp_path / "c" / "t.hmt"
+    copy.parent.mkdir()
+    copy.write_bytes(first.read_bytes())
+    changed.parent.mkdir()
+    addresses = trace.addresses
+    addresses[-1] += 64
+    Trace(trace.header, trace.gaps, addresses, trace.kinds).save(changed)
+    reports = []
+    for path in (first, copy, changed):
+        out = tmp_path / "out" / path.parent.name
+        assert cli.main(["run", "--trace", str(path), "--dram-mb", "1", "--nvm-mb", "16",
+                         "--quantum", "5000", "--measured", "20000", "--no-alone",
+                         "--out", str(out)]) == 0
+        reports.append(SimReport.from_json((out / "report.json").read_text()))
+    assert reports[0].config_hash == reports[1].config_hash != reports[2].config_hash
+    assert reports[0].config["traces"] == [str(first)]
+
+
 def test_cli_rejects_a_negative_debug_pages_count(tmp_path, capsys):
     traces = _write_traces(tmp_path, n=1)
     out = tmp_path / "out"
@@ -246,18 +278,37 @@ def test_cli_rejects_a_negative_debug_pages_count(tmp_path, capsys):
      "class weight must be finite and > 0, not nan"),
     (["--page-class", "pages=4,weight=inf"],
      "class weight must be finite and > 0, not inf"),
-    (["--page-class", "pages"], "class field 'pages' needs a value"),
-    (["--page-class", "pages=64,weight="], "class field 'weight' needs a value"),
-    (["--page-class", "pages=x"], "class field 'pages' needs int value, got 'x'"),
-    (["--page-class", "colour=red"], "unknown class field 'colour'"),
+    (["--page-class", "pages"], "--page-class: pages is '', not int"),
+    (["--page-class", "pages=64,weight="], "--page-class: weight is '', not float"),
+    (["--page-class", "pages=x"], "--page-class: pages is 'x', not int"),
+    (["--page-class", "pages=4,colour=red"], "--page-class: unexpected keys colour='red'"),
+    (["--page-class", "burst=2"], "--page-class: missing keys pages"),
+    (["--page-class", "pages=4,pages=8"], "--page-class: repeated key pages='8'"),
 ], ids=["mpki-0", "three-page-mpki-0", "mpki-nan", "mpki-inf", "mpki-1001",
         "weight-nan", "weight-inf", "no-value", "empty-value", "not-an-int",
-        "unknown-field"])
+        "unknown-field", "no-pages", "repeated-field"])
 def test_cli_tracegen_rejects_a_bad_spec(tmp_path, capsys, flags, message):
     out = tmp_path / "t.hmt"
     assert cli.main(["tracegen", "--out", str(out), "--accesses", "100", *flags]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_page_class_spec_round_trip_sets_every_field():
+    cls = PageClass(pages=3, weight=2.5, row_hit_prob=0.25, burst=2,
+                    read_fraction=0.5, page_stride=4, page_ids=(1, 5, 9))
+    assert all(getattr(cls, f.name) != f.default for f in dataclasses.fields(cls))
+    text = {f.name: getattr(cls, f.name) for f in dataclasses.fields(cls)}
+    text["page_ids"] = " ".join(map(str, cls.page_ids))
+    spec = ",".join(f"{k}={v}" for k, v in text.items())
+    assert cli._parse_class(spec) == cls
+
+
+def test_cli_tracegen_without_spec_flags_uses_the_declared_defaults(tmp_path):
+    out = tmp_path / "t.hmt"
+    assert cli.main(["tracegen", "--out", str(out), "--accesses", "300"]) == 0
+    spec = SynthSpec(name="synth", target_mpki=10.0, classes=(PageClass(pages=1024),))
+    assert Trace.from_file(out).digest() == generate(spec, 300).digest()
 
 
 def test_cli_tracegen_rejects_an_unknown_preset(tmp_path, capsys):
@@ -294,6 +345,7 @@ def test_cli_debug_pages_says_why_a_run_has_no_page_rows(tmp_path, capsys, ini,
     ('{"policy": "ubm"}', "report: missing keys config, "),
     ("[1, 2]", "report is not a JSON object"),
     ("{", "Expecting property name"),
+    ('{"policy": "ubm", "policy": "all"}', 'repeated key policy="all"'),
 ])
 def test_cli_report_on_a_json_that_is_not_a_report(tmp_path, capsys, text, message):
     path = tmp_path / "report.json"
@@ -388,6 +440,15 @@ def test_cli_sweep_values_without_any_axis_fail_naming_the_flag(tmp_path, capsys
 
 
 # -- one declaration per setting -------------------------------------------------
+
+@pytest.mark.parametrize("cls", [ExperimentConfig, DevTiming, TraceHeader, PageClass,
+                                 SimReport, AppResult, EnergyReport],
+                         ids=lambda cls: cls.__name__)
+def test_every_settings_annotation_has_a_row(cls):
+    # A field declared with a new annotation must say how it reads.
+    for f in dataclasses.fields(cls):
+        assert f.type.removesuffix(" | None") in TYPES, f"{cls.__name__}.{f.name}"
+
 
 def test_default_experiment_is_the_default_simulation():
     # Pins the defaults the two configs cannot share by inheritance: device

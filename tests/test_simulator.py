@@ -17,7 +17,7 @@ from hybridmem.device import (
     BUFFER_CHANNEL, DRAM_CHANNEL, NVM_CHANNEL, READ, DeviceGeometry,
 )
 from hybridmem.migration import EMPTY_SET
-from hybridmem.policies import POLICY_NAMES, UtilityPolicy
+from hybridmem.policies import POLICY_NAMES, StallTimePolicy, UtilityPolicy
 from hybridmem.runner import ExperimentConfig
 from hybridmem.simulator import SimConfig, Simulation
 from hybridmem.trace import (
@@ -729,6 +729,7 @@ def test_top_pages_utility_is_the_policy_score():
     assert rows and rows[0]["utility"] > 0
     for r in rows:
         assert r["utility"] == UtilityPolicy().score(r["page"], sim.store, sim)
+        assert r["delta_stall"] == StallTimePolicy().score(r["page"], sim.store, sim)
 
 
 # -- page statistics -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import pytest
@@ -314,8 +315,8 @@ def test_generator_rejects_values_that_do_not_fit(spec, named):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("instructions", "ten", "header instructions='ten' is not an integer"),
-    ("address_space", "ten", "header address_space='ten' is not an integer"),
+    ("instructions", "ten", "instructions is 'ten', not int"),
+    ("address_space", "ten", "address_space is 'ten', not int"),
     ("instructions", "0", "instruction count must be > 0"),
 ])
 def test_bad_header_value_names_path_and_key(tmp_path, key, value, message):
@@ -326,3 +327,27 @@ def test_bad_header_value_names_path_and_key(tmp_path, key, value, message):
     with pytest.raises(TraceError) as err:
         Trace.from_file(path)
     assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["colour=red"], "unexpected keys colour='red'"),
+    (["app=y"], "repeated key app='y'"),
+    (["version=HMTX1"], "repeated key version='HMTX1'"),
+    ([], "missing keys address_space"),
+], ids=["unexpected", "repeated", "version", "missing"])
+def test_bad_header_line_names_path_and_key(tmp_path, lines, message):
+    head = ["HMT1", "app=x", "instructions=10"] + (["address_space=8192"] if lines else [])
+    path = tmp_path / "t.hmt"
+    path.write_text("\n".join(head + lines + ["%%", ""]))
+    with pytest.raises(TraceError) as err:
+        Trace.from_file(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_header_round_trip_sets_every_field(tmp_path):
+    header = TraceHeader(app="y", instructions=12345, address_space=3 * 8192,
+                         version="HMTX1")
+    assert all(getattr(header, f.name) != f.default for f in dataclasses.fields(header))
+    path = tmp_path / "t.hmtx"    # the extension gives the version
+    Trace(header, [1], [0], [READ]).save(path)
+    assert Trace.from_file(path).header == header

@@ -11,8 +11,8 @@ from hybridmem.ubm import (
     ACCESS_COUNT_MAX, HotPageCounters, MISS_COUNT_MAX, MLP_ACC_MAX, MLP_ONE,
     MLP_WEIGHT_MAX, PageStats,
     StatStore, ThresholdController, avg_mlp_ratio, estimate_speedup,
-    gap_stall_reduction, latency_gaps, mlp_quotient, quantize_speedup,
-    sensitivity,
+    WRITE_CRITICALITY_P, latency_gaps, mlp_quotient, page_stall_reduction,
+    quantize_speedup, sensitivity,
 )
 
 ULP = 1.0 / MLP_ONE  # one unit of the 10-fractional-bit grid
@@ -200,25 +200,25 @@ def test_avg_ratio_zero_weight_is_zero():
 def test_stall_reduction_read_term():
     # 10 read misses at full exposure: 10 x (97.5 - 45) ns = 10 x 28 cycles.
     e = entry(read_misses=10, samples_read=[(1, 1)])
-    assert gap_stall_reduction(e, BASELINE_GAPS) == pytest.approx(280.0)
+    assert page_stall_reduction((e,), BASELINE_GAPS) == pytest.approx(280.0)
 
 
 def test_stall_reduction_zero_misses():
     e = entry(samples_read=[(1, 1)], samples_write=[(1, 1)])
-    assert gap_stall_reduction(e, BASELINE_GAPS) == 0.0
+    assert page_stall_reduction((e,), BASELINE_GAPS) == 0.0
 
 
 def test_stall_reduction_linear_in_ratio():
     full = entry(read_misses=10, samples_read=[(1, 1)])
     half = entry(read_misses=10, samples_read=[(1, 2)])
-    assert gap_stall_reduction(half, BASELINE_GAPS) == pytest.approx(
-        gap_stall_reduction(full, BASELINE_GAPS) / 2, rel=1e-9)
+    assert page_stall_reduction((half,), BASELINE_GAPS) == pytest.approx(
+        page_stall_reduction((full,), BASELINE_GAPS) / 2, rel=1e-9)
 
 
 def test_stall_reduction_write_term_uses_recovery_time():
     e = entry(write_misses=4, samples_write=[(1, 1)])
     # (15+67.5+15+180) - (15+15+15+15) = 217.5 ns = 116 cycles per miss
-    assert gap_stall_reduction(e, BASELINE_GAPS) == pytest.approx(4 * 116.0)
+    assert page_stall_reduction((e,), BASELINE_GAPS) == pytest.approx(4 * 116.0)
 
 
 class _ScoreContext:
@@ -281,6 +281,13 @@ _UNSAMPLED_MISS = {"read_misses": 1, "write_misses": 0, "acc_read": 0, "acc_writ
                    "weight_read": 0, "weight_write": 0, "sensitivity": 1.0}
 
 
+def _entry_stall_reduction(e, gaps):
+    """The reference: one entry's saved stall, both terms always added."""
+    r_read, r_write = avg_mlp_ratio(e)
+    return (e.read_misses * gaps[0] * r_read
+            + WRITE_CRITICALITY_P * e.write_misses * gaps[1] * r_write)
+
+
 # With gaps (-4, 3) an entry without write misses pairs a -0.0 read term with
 # a +0.0 write term, the one case where skipping that write term changes the
 # sign of the entry's zero.
@@ -301,9 +308,9 @@ def test_stall_scores_on_shared_pages_equal_the_reference_sum_exactly(fields, ga
     ctx = _ScoreContext([f["sensitivity"] for f in fields])
     ctx.latency_gaps = gaps
     assert _bits(UtilityPolicy().score(7, store, ctx)) == _bits(sum(
-        gap_stall_reduction(e, gaps) * ctx.sensitivities[e.app_id] for e in entries))
+        _entry_stall_reduction(e, gaps) * ctx.sensitivities[e.app_id] for e in entries))
     assert _bits(StallTimePolicy().score(7, store, ctx)) == _bits(sum(
-        gap_stall_reduction(e, gaps) for e in entries))
+        _entry_stall_reduction(e, gaps) for e in entries))
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), _counter(ACCESS_COUNT_MAX),
@@ -523,7 +530,7 @@ def test_stall_reduction_monotone(read_misses, write_misses, r_read, r_write):
         e.weight_read = 1
         e.acc_write = int(rw * MLP_ONE)
         e.weight_write = 1
-        return gap_stall_reduction(e, BASELINE_GAPS)
+        return page_stall_reduction((e,), BASELINE_GAPS)
 
     base = make(read_misses, write_misses, r_read, r_write)
     assert make(min(255, read_misses + 1), write_misses, r_read, r_write) >= base
