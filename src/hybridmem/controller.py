@@ -8,7 +8,9 @@ so bounds the in-flight requests.
 A page fills one row buffer, so a request's row is its page and its bank is
 `page % banks`. Scheduling prefers row-buffer hits, then the oldest request,
 one command per cycle. Writes are deferred and drained in batches between
-watermarks; `eligible[WRITE]` says whether they may issue.
+watermarks; `eligible[WRITE]` says whether they may issue. Each issue is
+counted once, in `issued[kind][outcome]`, and `stats_snapshot()` derives
+the read, write, row-hit and row-miss totals from that table.
 
 Interference attribution follows stall-time-fair accounting: a request's
 interference delay is the time it sat ready while its bank served other
@@ -31,7 +33,7 @@ from .device import (
     Bank, DevTiming, DeviceGeometry, EnergyMeter,
     READ, ROW_HIT, ROW_MISS, SYSTEM_APP, WRITE, service_latency,
 )
-from .device import BUFFER_CHANNEL, DRAM_CHANNEL, NVM_CHANNEL  # noqa: F401  re-exported
+from .device import BUFFER_CHANNEL  # noqa: F401  `bench/run.py` imports it from here
 
 BLOCK_BYTES = 64       # cache-block transfer granularity
 BLOCK_BITS = BLOCK_BYTES * 8
@@ -114,8 +116,7 @@ class ChannelController:
     __slots__ = (
         "config", "energy", "shared", "n_banks", "banks", "latency", "energy_pj",
         "wait", "occupancy", "capacity", "draining", "eligible",
-        "may_issue", "_high", "_low", "issued_reads",
-        "issued_writes", "row_hits", "row_misses", "queue_wait_cycles",
+        "may_issue", "_high", "_low", "issued", "queue_wait_cycles",
     )
 
     def __init__(self, timing: DevTiming, geometry: DeviceGeometry,
@@ -158,11 +159,9 @@ class ChannelController:
         self.may_issue = False
         self._high = config.drain_high_watermark * config.write_buffer_capacity
         self._low = config.drain_low_watermark * config.write_buffer_capacity
-        # Cumulative statistics (quantum deltas are taken by the simulator).
-        self.issued_reads = 0
-        self.issued_writes = 0
-        self.row_hits = 0
-        self.row_misses = 0
+        # Cumulative statistics (quantum deltas are taken by the simulator):
+        # the issued requests by [kind][outcome], and their queueing time.
+        self.issued = [[0, 0], [0, 0]]
         self.queue_wait_cycles = 0
 
     # -- admission ------------------------------------------------------------
@@ -288,27 +287,28 @@ class ChannelController:
         q.remove(winner)
         if not q:
             del wait[b]
-        if kind == READ:
-            self.issued_reads += 1
-        else:
-            self.issued_writes += 1
-        if outcome == ROW_HIT:
-            self.row_hits += 1
-        else:
-            self.row_misses += 1
+        self.issued[kind][outcome] += 1
         bank.occupy(app, cycle, latency)
         if outcome == ROW_MISS:
             bank.open_for(winner.page_id, app)
         self.energy.dynamic_pj += self.energy_pj[kind][outcome]
         return winner
 
+    # Totals of `issued`, kept only because `bench/checks.py` reads them;
+    # ROADMAP item 13 deletes them.
+    issued_reads = property(lambda self: sum(self.issued[READ]))
+    issued_writes = property(lambda self: sum(self.issued[WRITE]))
+    row_hits = property(lambda self: sum(k[ROW_HIT] for k in self.issued))
+    row_misses = property(lambda self: sum(k[ROW_MISS] for k in self.issued))
+
     def stats_snapshot(self) -> dict:
-        issued = self.issued_reads + self.issued_writes
+        (read_hits, read_misses), (write_hits, write_misses) = self.issued
+        hits, misses = read_hits + write_hits, read_misses + write_misses
         return {
-            "issued_reads": self.issued_reads,
-            "issued_writes": self.issued_writes,
-            "row_hits": self.row_hits,
-            "row_misses": self.row_misses,
-            "row_hit_rate": self.row_hits / issued if issued else 0.0,
+            "issued_reads": read_hits + read_misses,
+            "issued_writes": write_hits + write_misses,
+            "row_hits": hits,
+            "row_misses": misses,
+            "row_hit_rate": hits / (hits + misses) if hits or misses else 0.0,
             "queue_wait_cycles": self.queue_wait_cycles,
         }

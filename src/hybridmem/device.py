@@ -173,14 +173,6 @@ def service_latency(timing: DevTiming, kind: int, outcome: int) -> int:
     return timing.cycles(ns)
 
 
-def read_miss_latency(timing: DevTiming) -> int:
-    return service_latency(timing, READ, ROW_MISS)
-
-
-def write_miss_latency(timing: DevTiming) -> int:
-    return service_latency(timing, WRITE, ROW_MISS)
-
-
 class EnergyMeter:
     """Dynamic + standby energy accounting for one device.
 

@@ -167,7 +167,7 @@ class MigrationEngine:
         self.pages_promoted = 0
         self.pages_evicted = 0
         self.dropped = 0
-        self.traffic_bytes = 0
+        self.traffic_bytes = 0   # `Simulation.inject_migration` counts each block
 
     # -- residency ------------------------------------------------------------
 
@@ -253,24 +253,17 @@ class MigrationEngine:
         # Buffered blocks head for the destination first; that frees buffer
         # space and bounds the job's footprint.
         blocked = False
-        page = job.moving
         while job.pending_writes:
-            req = self.sim.inject_migration(job, WRITE, page, job.pending_writes[0],
-                                            job.dst_channel, cycle)
-            if req is None:
+            if self.sim.inject_migration(job, WRITE, job.pending_writes[0], cycle) is None:
                 blocked = True
                 break
             job.pending_writes.popleft()
-            self.traffic_bytes += self.sim.block_bytes
         while job.inflight < self.inflight_blocks and job.next_read < job.blocks:
-            req = self.sim.inject_migration(job, READ, page, job.next_read,
-                                            job.src_channel, cycle)
-            if req is None:
+            if self.sim.inject_migration(job, READ, job.next_read, cycle) is None:
                 blocked = True
                 break
             job.next_read += 1
             job.inflight += 1
-            self.traffic_bytes += self.sim.block_bytes
         self.n_blocked += blocked - job.blocked
         job.blocked = blocked
 
@@ -282,13 +275,10 @@ class MigrationEngine:
             job.pending_writes.append(block)
             if self._has_room(job):
                 self.pump_job(job, cycle)
-        elif self.sim.inject_migration(job, WRITE, job.moving, block,
-                                       job.dst_channel, cycle) is None:
+        elif self.sim.inject_migration(job, WRITE, block, cycle) is None:
             job.pending_writes.append(block)
             job.blocked = True
             self.n_blocked += 1
-        else:
-            self.traffic_bytes += self.sim.block_bytes
 
     def finish_block_write(self, job: MigrationJob, block: int, cycle: int):
         """End the move after its last block; else hand the source the
@@ -302,19 +292,17 @@ class MigrationEngine:
             if self._has_room(job):
                 self.pump_job(job, cycle)
         elif job.next_read < job.blocks:
-            if self.sim.inject_migration(job, READ, job.moving, job.next_read,
-                                         job.src_channel, cycle) is None:
+            if self.sim.inject_migration(job, READ, job.next_read, cycle) is None:
                 job.blocked = True
                 self.n_blocked += 1
             else:
                 job.next_read += 1
                 job.inflight += 1
-                self.traffic_bytes += self.sim.block_bytes
 
     def _finish_move(self, job: MigrationJob, cycle: int):
         page = job.moving
         del self.migrating[page]
-        self.sim.on_page_moved(page)
+        self.sim.store.invalidate_page(page)
         if page == job.victim:
             self.pages_evicted += 1
             job.begin(job.page, NVM_CHANNEL, DRAM_CHANNEL)

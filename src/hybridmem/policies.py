@@ -2,12 +2,13 @@
 
 A policy scores a page when one of its NVM requests completes and
 promotes it when the score passes the migration threshold. `all` promotes
-every page, like a conventional DRAM cache, so it reads neither the
-threshold nor the page statistics; each policy declares which of the two it
-uses (`uses_threshold`, `uses_page_stats`), and the simulator keeps only
-what the policy reads. The other policies score from the stat store,
-aggregating over every application's entry for the page, so shared pages
-are judged by their combined benefit.
+every page, like a conventional DRAM cache, so it scores nothing and reads
+neither the threshold nor the page statistics. One flag says which kind a
+policy is (`scores_pages`, off only for `all`); the simulator keeps the
+threshold and the page statistics only for a policy that scores. The
+scoring policies score from the stat store, aggregating over every
+application's entry for the page, so shared pages are judged by their
+combined benefit.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ class PolicyDecision(NamedTuple):
 class PlacementPolicy:
     # `bench/spans.py` times `decide` on this class and on each subclass
     # that defines its own, by replacing it there; keep it a method.
-    uses_threshold = True
-    uses_page_stats = True
+    scores_pages = True
 
     def score(self, page_id: int, store: StatStore, ctx) -> float:
         raise NotImplementedError
@@ -45,8 +45,7 @@ class AllPolicy(PlacementPolicy):
     """Insert every page touched in NVM, like a conventional cache."""
 
     name = "all"
-    uses_threshold = False
-    uses_page_stats = False
+    scores_pages = False
 
     def decide(self, page_id, store, ctx, threshold):
         return PolicyDecision(page_id, PROMOTE, 1.0)

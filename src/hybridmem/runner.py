@@ -3,7 +3,8 @@
 A run simulates the full workload mix, then re-simulates every trace in
 isolation (same configuration and policy) to obtain alone-run IPCs for the
 speedup metrics. Alone runs are cached by trace digest and config hash,
-which covers the policy, so sweeps do not recompute them.
+which covers the policy and names each input file by its content, so
+sweeps do not recompute them.
 
 `ExperimentConfig` declares the experiment's own fields (traces, device
 sizes and presets, latency multipliers, queue capacities) and inherits the
@@ -22,10 +23,10 @@ and `values` (see `parse_sweep_values`).
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .controller import ControllerConfig
-from .device import DeviceGeometry, load_timing
+from .device import PRESETS, DeviceGeometry, load_timing
 from .fields import read_fields
 from .metrics import APP_COUNTERS, AppResult, EnergyReport, SimReport, config_hash
 from .simulator import RunSettings, SimConfig, Simulation
@@ -131,21 +132,12 @@ def _load_traces(config: ExperimentConfig, traces):
     return [Trace.from_file(p) for p in config.traces]
 
 
-def _simulate(config: ExperimentConfig, traces) -> Simulation:
-    sim = Simulation(config.sim_config(), traces)
-    return sim.run()
-
-
 def run(config: ExperimentConfig, traces=None, alone: bool = True,
         alone_cache: dict | None = None) -> SimReport:
     """Simulate the mix; optionally add alone-run IPCs and speedup metrics."""
     traces = _load_traces(config, traces)
-    # A path says where a trace is, not what it holds: the config hash and
-    # the alone-run cache key name each trace by its content digest.
     digests = [t.digest() for t in traces]
-    sim = _simulate(config, traces)
-    resolved = config.resolved()
-    chash = config_hash({**resolved, "traces": digests} if config.traces else resolved)
+    sim = Simulation(config.sim_config(), traces).run()
 
     apps = []
     for i, core in enumerate(sim.cores):
@@ -158,8 +150,8 @@ def run(config: ExperimentConfig, traces=None, alone: bool = True,
     dram_dyn, dram_stby, nvm_dyn, nvm_stby = sim.total_energy_joules()
     report = SimReport(
         policy=config.policy,
-        config=resolved,
-        config_hash=chash,
+        config=config.resolved(),
+        config_hash=_experiment_hash(config, digests),
         elapsed_cycles=sim.cycle,
         elapsed_seconds=sim.cycle * sim.config.dram_timing.clock_period_ns * 1e-9,
         apps=apps,
@@ -176,6 +168,22 @@ def run(config: ExperimentConfig, traces=None, alone: bool = True,
         report.compute_speedups()
     report._sim = sim  # transient handle for callers that inspect state
     return report
+
+
+def _experiment_hash(config: ExperimentConfig, digests) -> str:
+    """The report's config hash, and the alone-run cache key's, of `config`
+    run on traces of `Trace.digest()`s `digests`. A path says where a file
+    is, not what it holds: a trace given by path is named by its digest, a
+    timing file by the `DevTiming` it loads, less its name (the path by
+    default). Built-in presets and in-memory traces are named as given."""
+    resolved = config.resolved()
+    if config.traces:
+        resolved["traces"] = list(digests)
+    for key in ("dram_preset", "nvm_preset"):
+        if resolved[key] not in PRESETS:
+            timing = asdict(load_timing(resolved[key]))
+            resolved[key] = config_hash({**timing, "name": None})
+    return config_hash(resolved)
 
 
 def _ipc(core, win: dict) -> float:
@@ -198,14 +206,14 @@ def alone_ipc(config: ExperimentConfig, trace: Trace,
     alone_cfg = replace(config, traces=())
     if cache is None:
         return _alone(alone_cfg, trace)
-    key = (digest or trace.digest(), config_hash(alone_cfg.resolved()))
+    key = (digest or trace.digest(), _experiment_hash(alone_cfg, ()))
     if key not in cache:
         cache[key] = _alone(alone_cfg, trace)
     return cache[key]
 
 
 def _alone(alone_cfg: ExperimentConfig, trace: Trace) -> float:
-    sim = _simulate(alone_cfg, [trace])
+    sim = Simulation(alone_cfg.sim_config(), [trace]).run()
     return _ipc(sim.cores[0], sim.measured_window(0))
 
 

@@ -32,10 +32,11 @@ pushes each completion past `_push`'s guard: a service takes a cycle.
 Page statistics -- the stat store, the MLP counters of pages with requests
 in flight to NVM, and the MLP sampling that feeds them -- model hardware
 that only a scoring policy needs, so a run keeps them only when migration
-is on and its policy reads them (`PlacementPolicy.uses_page_stats`):
-never under `all`, which promotes every page, nor with migration off. That moves no simulated
-output, because nothing but the policy's score reads the statistics; only
-the `top_pages` debug table does, and it is empty on such runs.
+is on and its policy scores pages (`PlacementPolicy.scores_pages`): never
+under `all`, which promotes every page, nor with migration off. That moves
+no simulated output, because nothing but the policy's score reads the
+statistics; only the `top_pages` debug table does, and it is empty on such
+runs.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .controller import (
 from .core import AppCore
 from .device import (
     BUFFER_CHANNEL, DRAM_BASELINE, NVM_BASELINE, NVM_CHANNEL,
-    DevTiming, DeviceGeometry, EnergyMeter, READ, WRITE,
+    DevTiming, DeviceGeometry, EnergyMeter, READ, ROW_HIT, WRITE,
 )
 from .migration import MigrationEngine, TagStore
 from .policies import PROMOTE, make_policy
@@ -144,8 +145,7 @@ class Simulation:
         "_nvm", "controllers", "tag", "engine", "policy", "keeps_page_stats",
         "store", "hot", "threshold", "latency_gaps", "cores", "outstanding",
         "_delay_anchor", "t_delay", "t_interference", "t_outstanding",
-        "app_reads", "app_writes", "app_row_hits", "app_row_misses",
-        "sensitivities", "_quantum_snaps", "_marker_snaps", "_done_count",
+        "app_issued", "sensitivities", "_quantum_snaps", "_marker_snaps", "_done_count",
         "quantum_log", "quantum_index", "_next_req_id", "_phase_cycle",
         "_next_sample", "_parked", "_free_requests",
     )
@@ -181,8 +181,7 @@ class Simulation:
             self.tag.finalize(page)
 
         self.policy = make_policy(config.policy)
-        self.keeps_page_stats = (config.migration_enabled
-                                 and self.policy.uses_page_stats)
+        self.keeps_page_stats = config.migration_enabled and self.policy.scores_pages
         self.store = StatStore()
         self.hot = HotPageCounters()
         self.threshold = ThresholdController()
@@ -200,10 +199,8 @@ class Simulation:
         self.t_delay = [0] * n
         self.t_interference = [0] * n    # sum of per-request blocked shares
         self.t_outstanding = [0] * n     # sum of per-request lifetimes
-        self.app_reads = [0] * n
-        self.app_writes = [0] * n
-        self.app_row_hits = [0] * n
-        self.app_row_misses = [0] * n
+        # Issued demand requests by [app][kind][outcome].
+        self.app_issued = [[[0, 0], [0, 0]] for _ in range(n)]
         # Each app's weight in the utility score, by app id: from the previous
         # quantum's speedup estimate (1 at first).
         self.sensitivities = [ubm.sensitivity(1.0, config.quantum_cycles)] * n
@@ -310,9 +307,10 @@ class Simulation:
             if progressed:
                 core.run_to(cycle)
 
-    def inject_migration(self, job, kind: int, page: int, block: int,
-                         channel: int, cycle: int):
-        """Queue one block of `job`'s move; None when the queue is full.
+    def inject_migration(self, job, kind: int, block: int, cycle: int):
+        """Queue one block of the page `job` is moving, a read from its
+        source or a write to its destination; None when the queue is full.
+        An admitted block adds its bytes to `engine.traffic_bytes`.
 
         The request re-arms a finished system request when one is free, so
         a run builds at most `MAX_JOBS * migration_inflight_blocks` of them.
@@ -324,6 +322,7 @@ class Simulation:
         interference and suffers none. The id is drawn only once the
         request is admitted, as FR-FCFS breaks ties on it.
         """
+        channel = job.dst_channel if kind == WRITE else job.src_channel
         ctrl = self.controllers[channel]
         if ctrl.occupancy[kind] >= ctrl.capacity[kind][False]:
             return None   # the queue is full even to migration traffic
@@ -332,16 +331,17 @@ class Simulation:
         if free:
             req = free.pop()
             req.id = self._next_req_id
-            req.page_id = page
+            req.page_id = job.moving
             req.kind = kind
         else:
-            req = MemRequest(self._next_req_id, SYSTEM_APP, page, kind,
+            req = MemRequest(self._next_req_id, SYSTEM_APP, job.moving, kind,
                              is_demand=False)
         req.mig_job = job
         req.mig_block = block
         req.channel = channel
         req.dispatch_cycle = cycle
         ctrl.enqueue(req, cycle)
+        self.engine.traffic_bytes += self.block_bytes
         if self._dram.may_issue or self._nvm.may_issue:
             self._phase_cycle = cycle
         return req
@@ -384,28 +384,22 @@ class Simulation:
             return
         decision = self.policy.decide(page, self.store, self,
                                       self.threshold.threshold)
-        if self.policy.uses_threshold:
+        if self.policy.scores_pages:
             self.threshold.observe_score(decision.score)
         if decision.action == PROMOTE:
             self.engine.request_promotion(page, cycle)
 
     def on_issue(self, req: MemRequest):
         """Count an issued demand request."""
-        app = req.app_id
-        if req.kind == READ:
-            self.app_reads[app] += 1
-        else:
-            self.app_writes[app] += 1
-        hit = req.outcome == 0
-        if hit:
-            self.app_row_hits[app] += 1
-        else:
-            self.app_row_misses[app] += 1
+        app, kind, outcome = req.app_id, req.kind, req.outcome
+        self.app_issued[app][kind][outcome] += 1
         if req.channel == NVM_CHANNEL and self.keeps_page_stats:
-            self.store.get_or_alloc(req.page_id, app).count_issue(req.kind, hit)
+            self.store.get_or_alloc(req.page_id, app).count_issue(kind, outcome == ROW_HIT)
 
-    def on_page_moved(self, page: int):
-        self.store.invalidate_page(page)
+    # Totals of `app_issued` by app, kept only because `bench/checks.py`
+    # reads them; ROADMAP item 13 deletes them.
+    app_reads = property(lambda self: [sum(app[READ]) for app in self.app_issued])
+    app_writes = property(lambda self: [sum(app[WRITE]) for app in self.app_issued])
 
     # -- periodic work --------------------------------------------------------
 
@@ -447,7 +441,7 @@ class Simulation:
             self.sensitivities[i] = ubm.sensitivity(s, q)
             speedups.append(s)
             total_stall += win["t_stall"]
-        if self.policy.uses_threshold:
+        if self.policy.scores_pages:
             self.threshold.end_quantum(total_stall)
         if self.config.stat_decay:
             self.store.halve_all()
@@ -526,16 +520,17 @@ class Simulation:
 
     def _snapshot(self, app: int, cycle: int) -> dict:
         """The app's accounting counters as they stand, stamped `cycle`."""
+        (read_hits, read_misses), (write_hits, write_misses) = self.app_issued[app]
         return {
             "cycle": cycle,
             "t_stall": self.cores[app].t_stall,
             "t_delay": self.t_delay[app],
             "t_interference": self.t_interference[app],
             "t_outstanding": self.t_outstanding[app],
-            "reads": self.app_reads[app],
-            "writes": self.app_writes[app],
-            "row_hits": self.app_row_hits[app],
-            "row_misses": self.app_row_misses[app],
+            "reads": read_hits + read_misses,
+            "writes": write_hits + write_misses,
+            "row_hits": read_hits + write_hits,
+            "row_misses": read_misses + write_misses,
         }
 
     @staticmethod

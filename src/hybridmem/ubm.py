@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from .device import WRITE, DevTiming, read_miss_latency, write_miss_latency
+from .device import READ, ROW_MISS, WRITE, DevTiming, service_latency
 from .migration import EMPTY_SET
 
 MLP_FRAC_BITS = 10
@@ -99,8 +99,8 @@ def avg_mlp_ratio(entry: PageStats) -> tuple[float, float]:
 
 def latency_gaps(dram: DevTiming, nvm: DevTiming) -> tuple[int, int]:
     """NVM minus DRAM row-miss latency, for reads and for writes."""
-    return (read_miss_latency(nvm) - read_miss_latency(dram),
-            write_miss_latency(nvm) - write_miss_latency(dram))
+    return tuple(service_latency(nvm, kind, ROW_MISS) - service_latency(dram, kind, ROW_MISS)
+                 for kind in (READ, WRITE))
 
 
 def page_stall_reduction(entries, gaps: tuple[int, int], weights=None) -> float:

@@ -11,7 +11,7 @@ import pytest
 
 import hybridmem
 from hybridmem import cli, runner
-from hybridmem.device import DevTiming
+from hybridmem.device import NVM_BASELINE, DevTiming
 from hybridmem.fields import TYPES
 from hybridmem.metrics import AppResult, EnergyReport, SimReport
 from hybridmem.migration import TagStore
@@ -53,7 +53,7 @@ def test_run_is_deterministic(tmp_path):
 
 def test_cut_off_run_and_alone_run_share_one_ipc_rule(tmp_path):
     traces = _write_traces(tmp_path, n=1)
-    trace = hybridmem.Trace.from_file(traces[0])
+    trace = Trace.from_file(traces[0])
     for max_cycles in (200, 3000):   # before and after the warmup marker
         config = _tiny_config(traces, max_cycles=max_cycles)
         report = runner.run(config, alone=False)
@@ -231,7 +231,8 @@ def test_cli_tracegen_run_report(tmp_path, capsys):
 
 
 def test_config_hash_names_each_trace_by_its_content(tmp_path):
-    # One trace under two paths is one experiment; a one-record change is not.
+    # One trace or timing file under two paths is one experiment; a
+    # one-record or one-value change is not.
     first = tmp_path / "a" / "t.hmt"
     first.parent.mkdir()
     assert cli.main(["tracegen", "--out", str(first), "--accesses", "1500",
@@ -253,6 +254,24 @@ def test_config_hash_names_each_trace_by_its_content(tmp_path):
         reports.append(SimReport.from_json((out / "report.json").read_text()))
     assert reports[0].config_hash == reports[1].config_hash != reports[2].config_hash
     assert reports[0].config["traces"] == [str(first)]
+
+    values = {f.name: getattr(NVM_BASELINE, f.name)
+              for f in dataclasses.fields(DevTiming) if f.name != "name"}
+    timing_files = []
+    for name, t_rcd_ns in (("a", values["t_rcd_ns"]), ("b", values["t_rcd_ns"]), ("c", 70.0)):
+        path = tmp_path / name / "nvm.timing"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in
+                                {**values, "t_rcd_ns": t_rcd_ns}.items()))
+        timing_files.append(path)
+    cache, hashes, alone_runs = {}, [], []
+    for path in timing_files:
+        report = runner.run(_tiny_config((str(first),), nvm_preset=str(path)),
+                            alone_cache=cache)
+        assert report.config["nvm_preset"] == str(path)
+        hashes.append(report.config_hash)
+        alone_runs.append(len(cache))
+    assert hashes[0] == hashes[1] != hashes[2]
+    assert alone_runs == [1, 1, 2]
 
 
 def test_cli_rejects_a_negative_debug_pages_count(tmp_path, capsys):

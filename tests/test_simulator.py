@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridmem import runner, simulator
-from hybridmem.controller import ChannelController, ControllerConfig, MemRequest
+from hybridmem.controller import BLOCK_BYTES, ChannelController, ControllerConfig, MemRequest
 from hybridmem.core import AppCore
 from hybridmem.device import (
     BUFFER_CHANNEL, DRAM_CHANNEL, NVM_CHANNEL, READ, DeviceGeometry,
@@ -153,27 +153,29 @@ def test_controller_instances_have_no_dict():
             ctrl.unlisted = 1
 
 
-# -- the benchmark's tracing hooks ----------------------------------------------
+# -- the benchmark's tracing hooks and counts -----------------------------------
 # `bench/spans.py` times each layer by replacing the methods it lists on their
 # classes. A hot path that stops calling one of them (fused into its caller,
 # say) would read 0 in that layer's metrics without failing anything else.
+# `bench/checks.py` reads the simulator's counters by name, so a rename would
+# otherwise fail only the bench's own slow self-test.
 
-def _bench_spans():
-    """`bench/spans.py`, executed from its source without writing anything."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
-    module = types.ModuleType("bench_spans")
+def _bench_module(name: str):
+    """`bench/<name>.py`, executed from its source without writing anything."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
     exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
 def test_every_traced_method_is_defined_on_its_class():
-    spans = _bench_spans()
+    spans = _bench_module("spans")
     missing = [name for owner, attr, name in spans.TRACED if attr not in vars(owner)]
     assert not missing
 
 
 def test_every_traced_layer_method_is_called_on_a_short_mix(monkeypatch):
-    spans = _bench_spans()
+    spans = _bench_module("spans")
     layers = ("core", "policies", "ubm.sample", "ubm.store")
     calls = {}
 
@@ -191,6 +193,28 @@ def test_every_traced_layer_method_is_called_on_a_short_mix(monkeypatch):
     for policy in ("ubm", "all"):
         assert Simulation(_small_config(policy=policy), _spread_mix(0.7)).run().finished
     assert not [name for name, n in calls.items() if n == 0]
+
+
+@pytest.mark.parametrize("case", ["ubm", "one-application-all-writes"])
+def test_bench_counts_match_the_simulators_own_state(case):
+    if case == "ubm":   # two applications, migrating
+        config, traces = _spread_case(case)
+    else:
+        fields, read_fraction, _ = _ALONE["all-writes"]
+        config, traces = _small_config(**fields), _spread_mix(read_fraction)[:1]
+    sim = _Injections(config, traces).run()
+    counts = _bench_module("checks").sim_counts(sim)
+    snapshots = [ctrl.stats_snapshot() for ctrl in sim.controllers]
+    assert sim.finished and sim.engine.pages_promoted > 0
+    assert counts["issued"] == sum(n for ctrl in sim.controllers
+                                   for by_kind in ctrl.issued for n in by_kind)
+    assert counts["demand_issued"] == sum(n for app in sim.app_issued
+                                          for by_kind in app for n in by_kind)
+    assert counts["demand_issued"] < counts["issued"]
+    assert counts["row_hits"] == sum(snap["row_hits"] for snap in snapshots)
+    assert counts["row_misses"] == sum(snap["row_misses"] for snap in snapshots)
+    assert counts["row_hits"] + counts["row_misses"] == counts["issued"]
+    assert counts["blocks"] == len(sim.injected)
 
 
 # -- golden reports --------------------------------------------------------------
@@ -518,15 +542,18 @@ def test_read_only_mix_asks_controllers_only_when_they_issue(monkeypatch):
 
 
 class _Injections(Simulation):
-    """Records the id of every injected migration request; every completion
-    after which the engine's count of stopped jobs is off, or a job that is
-    not stopped holds buffered writes or could take more reads; and every
-    re-pump of a stopped job, from `MigrationEngine.pump` or from its own
-    block's completion, that injected nothing. A job that a completion
-    starts (`_finish_move`) is not a re-pump."""
+    """Records the id of every injected migration request, and every one
+    not addressed to its job's moving page on the move's source channel
+    (reads) or destination channel (writes); every completion after which
+    the engine's count of stopped jobs is off, or a job that is not stopped
+    holds buffered writes or could take more reads; and every re-pump of a
+    stopped job, from `MigrationEngine.pump` or from its own block's
+    completion, that injected nothing. A job that a completion starts
+    (`_finish_move`) is not a re-pump."""
 
     def __init__(self, config, traces):
         self.injected = []
+        self.misaddressed = []
         self.miscounted = []
         self.broken = []
         self.repumps = 0
@@ -560,11 +587,22 @@ class _Injections(Simulation):
         engine._finish_move = within(None, engine._finish_move)
         engine.pump_job = pump_job
 
-    def inject_migration(self, *args):
-        req = super().inject_migration(*args)
+    def inject_migration(self, job, kind, block, cycle):
+        req = super().inject_migration(job, kind, block, cycle)
         if req is not None:
             self.injected.append(req.id)
+            # A victim moves from DRAM to NVM, a promotion from NVM to DRAM.
+            src, dst = ((DRAM_CHANNEL, NVM_CHANNEL) if job.moving == job.victim
+                        else (NVM_CHANNEL, DRAM_CHANNEL))
+            channel = src if kind == READ else dst
+            if (req.page_id, req.channel, req.mig_block) != (job.moving, channel, block):
+                self.misaddressed.append((cycle, job.page, kind, block))
         return req
+
+    def check_blocks(self):
+        """Every admitted block was addressed from its job and counted once."""
+        assert self.misaddressed == []
+        assert self.engine.traffic_bytes == BLOCK_BYTES * len(self.injected)
 
     def _complete(self, req, cycle):
         super()._complete(req, cycle)
@@ -596,6 +634,7 @@ def test_finished_migration_requests_are_reused_with_fresh_ids(monkeypatch):
     # FR-FCFS breaks ties on the id, so a re-armed request takes a new one.
     assert all(a < b for a, b in zip(sim.injected, sim.injected[1:]))
     assert sim.miscounted == []
+    sim.check_blocks()
 
 
 @pytest.mark.parametrize("case", ["all-opportunistic-wb9", "write-heavy-golden"])
@@ -611,6 +650,7 @@ def test_migration_jobs_keep_their_invariants_and_repump_only_to_inject(case):
     assert sim.finished and sim.engine.pages_promoted > 0
     assert sim.broken == [] and sim.miscounted == []
     assert sim.repumps > sim.completion_repumps > 0 and sim.wasted == []
+    sim.check_blocks()
 
 
 # -- migration liveness ------------------------------------------------------------
