@@ -9,8 +9,10 @@ or full read queue) gates further memory dispatch, and a pipeline fully
 drained behind a gated write also counts as stall time.
 
 Between memory events both pointers move linearly at the retire width, so
-the core advances in closed-form segments rather than cycle by cycle.
-Boundary cycles with partial retirement count as unstalled.
+the core advances to any cycle in one closed-form step rather than cycle by
+cycle: every bend but the head reaching its stop has a planned wake, and no
+caller advances past one (`AppCore.advance`). Boundary cycles with partial
+retirement count as unstalled.
 
 A core schedules its own wakes: at the cycle its free tail reaches the next
 memory op, a full window frees a slot, or its free head reaches a marker,
@@ -33,7 +35,7 @@ from .device import READ, WRITE
 # Stall modes: what the open stall span waits on. Only the total over all
 # modes is counted (`t_stall`); a change of mode settles the open span.
 STALL_NONE = 0
-STALL_HEAD = 1   # a read: at the head, parked on a full queue, or on a full MSHR
+STALL_HEAD = 1   # a read: at the head, or parked on a full queue
 STALL_WB = 2     # pipeline drained behind a write awaiting a buffer slot
 EV_CORE = 2      # heap priority of a core's wake (see `simulator`)
 
@@ -151,14 +153,14 @@ class AppCore:
 
     def _refresh_stall(self):
         # Skipped while the head is free short of the tail and no span is open.
+        # A tail blocked on full MSHRs needs no mode of its own: the head
+        # stops at the oldest of their incomplete reads, short of the tail.
         mode = STALL_NONE
         if self.head_pin is not None:
             mode = STALL_HEAD
         elif self.head == self.tail and self.tail_block == "gate" \
                 and self.pending_inject:
             mode = STALL_WB if self.pending_inject[0].kind == WRITE else STALL_HEAD
-        elif self.head == self.tail and self.tail_block == "mshr":
-            mode = STALL_HEAD
         if mode != self.stall_mode:
             self.settle_stall(self.cycle)
             self.stall_mode = mode
@@ -171,72 +173,55 @@ class AppCore:
     # -- main advance ---------------------------------------------------------
 
     def advance(self, now: int):
-        """Move the core through closed-form segments up to cycle `now`.
+        """Move the core to cycle `now` in one closed-form step.
 
-        Each segment runs until the next point where the trajectory bends:
-        the head reaching its stop, the tail reaching the next memory op,
-        or a full window starting to drain. Every segment lasts at least one
-        cycle, because each bound lies strictly ahead of its pointer.
+        The free tail and the free head each move `RETIRE_WIDTH` per cycle,
+        the tail capped at the next memory op and the head at its stop and
+        at the tail. This is exact because `_resume` plans a wake at every
+        bend the core foresees -- the free tail reaching its next memory op
+        and a full window freeing a slot -- and every caller (`run_to`,
+        `on_read_complete`, `Simulation._retry_parked`, `Simulation._settle`)
+        calls at or before it. So no dispatch falls inside the step, and the
+        one bend left is the free head reaching its stop, which pins it to
+        a read or stalls it behind the blocked tail from the cycle it
+        arrives.
         """
-        if now <= self.cycle:
+        cycle = self.cycle
+        if now <= cycle:
             return
         w = self.RETIRE_WIDTH
-        wr = self.window_reads
-        while self.cycle < now:
-            if self.tail == self.next_mem_pos:   # a blocked tail sits here too
-                self._try_dispatch()
-            cycle, head, tail = self.cycle, self.head, self.tail
-            # Head stop: the oldest incomplete read, else a blocked tail.
-            stop = None
-            if wr:
-                stop, req = wr[0]
-                if stop == head and self.head_pin is None:
-                    self.head_pin = req
-            tail_block = self.tail_block
-            if tail_block is not None and (stop is None or tail < stop):
-                stop = tail
-            head_free = self.head_pin is None
-            if not head_free or head == tail or self.stall_mode:
-                self._refresh_stall()
-
-            t_next = now
-            if head_free and stop is not None and stop > head:
-                t = cycle - (head - stop) // w
-                if t < t_next:
-                    t_next = t
-            if tail_block is None:
-                # The tail is free only short of the next memory op.
-                t = cycle - (tail - self.next_mem_pos) // w
-                if t < t_next:
-                    t_next = t
-            elif tail_block == "rob" and head_free:
-                # Retirement frees window slots; dispatch resumes mid-run.
-                need = tail - self.rob_capacity + 1
-                if need > head:
-                    t = cycle - (head - need) // w
-                    if t < t_next:
-                        t_next = t
-
-            dt = t_next - cycle
-            if tail_block is None:
-                tail += w * dt
-                if tail > self.next_mem_pos:
-                    tail = self.next_mem_pos
-                self.tail = tail
-            if head_free:
-                new_head = head + w * dt
-                if stop is not None and stop < new_head:
-                    new_head = stop
-                if tail < new_head:
-                    new_head = tail
-                if new_head > head:
-                    if new_head >= self.next_marker:
-                        self._record_markers(head, new_head, cycle)
-                    self.head = new_head
-            self.cycle = t_next
+        dist = w * (now - cycle)
+        tail = self.tail
+        if self.tail_block is None:
+            tail += dist
+            if tail > self.next_mem_pos:
+                tail = self.next_mem_pos
+            self.tail = tail
+        if self.head_pin is None:
+            head = self.head
+            # Head stop: the oldest incomplete read, else a blocked tail. A
+            # free tail only caps the head.
+            wr = self.window_reads
+            stop = wr[0][0] if wr else tail
+            new_head = head + dist
+            if new_head >= stop:
+                new_head = stop
+            if new_head >= self.next_marker:
+                self._record_markers(head, new_head, cycle)
+            self.head = new_head
+            if new_head == stop and (wr or self.tail_block is not None):
+                # At its stop before `now`, perhaps since before this step:
+                # pin it there from the cycle it arrived.
+                reached = cycle - (head - stop) // w
+                if reached < now:
+                    self.cycle = reached
+                    if wr:
+                        self.head_pin = wr[0][1]
+                    self._refresh_stall()
+        self.cycle = now
         # Settle the open stall span, so it is always settled up to `cycle`.
         if self.stall_mode:
-            self.settle_stall(self.cycle)
+            self.settle_stall(now)
 
     # -- wakeups --------------------------------------------------------------
 

@@ -255,11 +255,22 @@ def load_experiment_config(path) -> tuple[ExperimentConfig, SweepSpec | None]:
     try:
         if not parser.read(path):
             raise FileNotFoundError(path)
+        # `[DEFAULT]` would be copied into every section: refused as well.
+        unknown = [name for name in parser.sections()
+                   if name not in ("experiment", "sweep")]
+        if parser.defaults():
+            unknown.insert(0, parser.default_section)
+        if unknown:
+            raise ValueError(f"{path}: unexpected section {', '.join(unknown)}")
         section = parser["experiment"] if parser.has_section("experiment") else {}
         kwargs = read_fields(ExperimentConfig, path,
                              ((None, key, text) for key, text in section.items()))
         spec = None
         if parser.has_section("sweep"):
+            unknown = [f"{key}={text!r}" for key, text in parser["sweep"].items()
+                       if key not in ("axis", "values")]
+            if unknown:
+                raise ValueError(f"{path}: unexpected keys {', '.join(unknown)}")
             axis = parser.get("sweep", "axis")
             spec = SweepSpec(axis, parse_sweep_values(axis, parser.get("sweep", "values")))
     except configparser.Error as exc:

@@ -182,6 +182,10 @@ def test_preset_file_errors(tmp_path):
     repeated.write_text("t_cl_ns = 15\nt_cl_ns = 20\n")
     with pytest.raises(ValueError, match=f"^{repeated}:2: repeated key t_cl_ns='20'; "):
         load_timing(repeated)
+    no_value = tmp_path / "no_value.cfg"
+    no_value.write_text("t_cl_ns = 15\nt_rcd_ns 15\n")
+    with pytest.raises(ValueError, match=f"^{no_value}:2: expected 'key = value'$"):
+        load_timing(no_value)
 
 
 def test_timing_file_round_trip_sets_every_field(tmp_path):

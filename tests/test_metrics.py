@@ -61,6 +61,8 @@ def test_missing_alone_run():
         harmonic_speedup([])
     with pytest.raises(MissingAloneRun):
         weighted_speedup([(1.0, 0.0)])
+    with pytest.raises(MissingAloneRun, match="shared-run IPC must be positive"):
+        weighted_speedup([(0.0, 1.0)])
 
 
 def test_perf_per_watt_ratio_contract():

@@ -129,6 +129,10 @@ def test_ini_round_trip_and_cli_flags_match(tmp_path):
      "dram_size sweep value 0 is not a positive byte count"),
     # Every experiment field has a default, so none can be missing.
     ("[experiment]\ncolour = red\n", "unexpected keys colour='red'"),
+    ("[experimnet]\npolicy = all\n", "unexpected section experimnet"),
+    ("[DEFAULT]\npolicy = all\n[experiment]\n", "unexpected section DEFAULT"),
+    ("[sweep]\naxis = dram_size\nvalues = 1048576\nvaleus = 2097152\n",
+     "unexpected keys valeus='2097152'"),
     ("[experiment]\npolicy = ubm\npolicy = all\n",
      "option 'policy' in section 'experiment' already exists"),
     ("[experiment]\nmigration_enabled = maybe\n", "migration_enabled is 'maybe', not bool"),
@@ -432,6 +436,18 @@ def test_cli_sweep_writes_one_report_per_point_and_a_summary_row_each(tmp_path):
         ["policy", "config_hash", *summary])
 
 
+def test_cli_nvm_latency_sweep_sets_both_multipliers_at_each_point(tmp_path):
+    traces = _write_traces(tmp_path, n=1)
+    out = tmp_path / "out"
+    argv = ["sweep", "--trace", traces[0], "--nvm-mb", "16", "--quantum", "5000",
+            "--measured", "20000", "--axis", "nvm_latency", "--values", "1,1;2,3",
+            "--no-alone", "--out", str(out)]
+    assert cli.main(argv) == 0
+    for tag, rcd, wr in (("1.0x1.0", 1.0, 1.0), ("2.0x3.0", 2.0, 3.0)):
+        config = SimReport.from_json((out / f"report_{tag}.json").read_text()).config
+        assert (config["t_rcd_mult"], config["t_wr_mult"]) == (rcd, wr)
+
+
 def _sweep_ini(tmp_path, sweep: str) -> Path:
     ini = tmp_path / "exp.ini"
     ini.write_text(f"[experiment]\ntraces = {_write_traces(tmp_path, n=1)[0]}\n"
@@ -446,6 +462,31 @@ def test_cli_sweep_values_replace_the_configured_axis_values(tmp_path):
     assert cli.main(["sweep", "--config", str(ini), "--values", "2", "--no-alone",
                      "--out", str(out)]) == 0
     assert [p.name for p in out.glob("report_*.json")] == ["report_2097152.json"]
+
+
+def test_cli_sweep_point_the_simulator_rejects_writes_an_error_row(tmp_path, capsys):
+    # 1056768 bytes is not a whole number of DRAM rows.
+    ini = _sweep_ini(tmp_path, "[sweep]\naxis = dram_size\nvalues = 1048576 1056768\n")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(ini), "--no-alone",
+                     "--out", str(out)]) == 1
+    assert [p.name for p in out.glob("report_*.json")] == ["report_1048576.json"]
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["point"] for row in rows] == ["1048576", "1056768"]
+    assert not rows[0]["error"] and "whole number of rows" in rows[1]["error"]
+    assert f"point 1056768: FAILED: {rows[1]['error']}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis, values, message", [
+    ("dram_latency", (1 << 20,), "unknown sweep axis 'dram_latency'"),
+    ("dram_size", (), "sweep needs at least one value"),
+    ("dram_size", (2 << 20, 1 << 20), "sweep values must be strictly increasing"),
+    ("nvm_latency", ((1, 1), (1, 1)), "sweep values must be strictly increasing"),
+])
+def test_sweep_spec_rejects_what_it_cannot_sweep(axis, values, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        runner.SweepSpec(axis, values).validate()
 
 
 def test_cli_sweep_values_without_any_axis_fail_naming_the_flag(tmp_path, capsys):

@@ -653,6 +653,97 @@ def test_migration_jobs_keep_their_invariants_and_repump_only_to_inject(case):
     sim.check_blocks()
 
 
+# -- the core ---------------------------------------------------------------------
+
+class _CheckedCore(AppCore):
+    """An `AppCore` whose every `advance(now)` that moves it is checked not
+    to pass a planned wake: it dispatches nothing, a free tail reaches its
+    next memory op at or after `now`, and a full window whose free head can
+    reach the slot that resumes dispatch frees it at or after `now`."""
+
+    __slots__ = ()
+
+    def advance(self, now):
+        sim, cycle, w = self.sim, self.cycle, self.RETIRE_WIDTH
+        if now > cycle:
+            bend = None
+            if self.tail_block is None:
+                bend = "tail"
+                due = cycle - (self.tail - self.next_mem_pos) // w
+            elif self.tail_block == "rob" and self.head_pin is None:
+                need = self.tail - self.rob_capacity + 1
+                wr = self.window_reads
+                if (wr[0][0] if wr else self.tail) >= need:
+                    bend = "rob"
+                    due = cycle - (self.head - need) // w
+            if bend is not None:
+                sim.checked[bend] += 1
+                if now > due:
+                    sim.passed.append((self.app_id, cycle, now, bend))
+        dispatched = sim._next_req_id
+        super().advance(now)
+        if sim._next_req_id != dispatched:
+            sim.passed.append((self.app_id, cycle, now, "dispatch"))
+        # A core that passed a wake may never dispatch again: end the run.
+        sim.finished |= bool(sim.passed)
+
+
+class _Advances(Simulation):
+    """Runs `_CheckedCore`s; records the first `advance` that passed a
+    planned wake in `passed`, and counts the calls checked against each
+    bend."""
+
+    def __init__(self, config, traces):
+        self.passed = []
+        self.checked = {"tail": 0, "rob": 0}
+        super().__init__(config, traces)
+        for core in self.cores:
+            core.__class__ = _CheckedCore
+
+
+def _mshr_bound_case(mshr_capacity: int):
+    """One app reading in bursts of 16 pages at 200 MPKI, migration off."""
+    trace = generate(SynthSpec(name="bursts", target_mpki=200.0, read_fraction=1.0,
+                               classes=(PageClass(pages=2048, burst=16,
+                                                  row_hit_prob=0.2),)), 4000)
+    return _small_config(migration_enabled=False, mshr_capacity=mshr_capacity), [trace]
+
+
+@pytest.mark.parametrize("group", ["spread", "fuzz", "mshr-bound"])
+def test_no_advance_passes_a_planned_wake(group):
+    cases = {"spread": lambda: [_spread_case(case) for case in _SPREAD],
+             "fuzz": lambda: [_fuzz_case(seed) for seed in _FUZZ],
+             "mshr-bound": lambda: [_mshr_bound_case(2)]}[group]()
+    checked = {"tail": 0, "rob": 0}
+    for config, traces in cases:
+        sim = _Advances(config, traces).run()
+        assert sim.passed == []
+        for bend, n in sim.checked.items():
+            checked[bend] += n
+    # The MSHR-bound mix never fills its window.
+    assert checked["tail"] > 100 and (checked["rob"] > 0) == (group != "mshr-bound")
+
+
+def test_a_binding_mshr_limit_blocks_the_core_and_caps_its_ipc(monkeypatch):
+    blocked = []
+
+    def try_dispatch(core, method=AppCore._try_dispatch):
+        method(core)
+        if core.tail_block == "mshr":
+            blocked.append(core.cycle)
+
+    monkeypatch.setattr(AppCore, "_try_dispatch", try_dispatch)
+    ipcs = []
+    for mshrs in (1, 2, 32):
+        sim = Simulation(*_mshr_bound_case(mshrs)).run()
+        assert sim.finished
+        ipcs.append(sim.config.measured_instructions / sim.measured_window(0)["cycle"])
+        if mshrs < 32:
+            assert blocked, f"{mshrs} MSHRs never blocked the core"
+        blocked.clear()
+    assert ipcs[0] < ipcs[1] < ipcs[2]
+
+
 # -- migration liveness ------------------------------------------------------------
 
 def _idle_simulation(**fields) -> Simulation:

@@ -344,6 +344,14 @@ def test_bad_header_line_names_path_and_key(tmp_path, lines, message):
     assert str(err.value) == f"{path}: {message}"
 
 
+def test_header_without_its_end_line_is_truncated(tmp_path):
+    path = tmp_path / "t.hmt"
+    path.write_text("HMT1\napp=x\ninstructions=10\naddress_space=8192\n")
+    with pytest.raises(TraceError) as err:
+        Trace.from_file(path)
+    assert str(err.value) == f"{path}: truncated header"
+
+
 def test_header_round_trip_sets_every_field(tmp_path):
     header = TraceHeader(app="y", instructions=12345, address_space=3 * 8192,
                          version="HMTX1")
