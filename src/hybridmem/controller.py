@@ -1,16 +1,16 @@
 """Per-channel memory controller: queues, FR-FCFS scheduling, write drains.
 
-Each channel owns a read request queue and a write buffer, held by request
-kind: the wait lists of unissued requests, one per bank that has any
-(`wait[kind]`, a dict from bank to its non-empty list), and the occupancy
-(`occupancy[kind]`), which holds an entry until its request completes and
-so bounds the in-flight requests.
-A page fills one row buffer, so a request's row is its page and its bank is
-`page % banks`. Scheduling prefers row-buffer hits, then the oldest request,
-one command per cycle. Writes are deferred and drained in batches between
-watermarks; `eligible[WRITE]` says whether they may issue. Each issue is
-counted once, in `issued[kind][outcome]`, and `stats_snapshot()` derives
-the read, write, row-hit and row-miss totals from that table.
+Each channel owns a read request queue and a write buffer, one `KindQueue`
+record per request kind (`queues[kind]`) with all the request path reads or
+counts for it: the unissued requests by bank, for banks that hold any; the
+occupancy, which holds an entry until its request completes and so bounds
+the in-flight requests; the capacities; whether the kind may issue; and its
+latency, energy and issue count per row outcome. A page fills one row
+buffer, so a request's row is its page and its bank is `page % banks`.
+Scheduling prefers row-buffer hits, then the oldest request, one command per
+cycle. Writes are deferred and drained in batches between watermarks. Each
+issue is counted once, in its record's `hits` or `misses`, and
+`stats_snapshot()` derives the read, write, row-hit and row-miss totals.
 
 Interference attribution follows stall-time-fair accounting: a request's
 interference delay is the time it sat ready while its bank served other
@@ -104,6 +104,31 @@ class ControllerConfig:
                 f"watermark {self.drain_high_watermark} x {cap}; no drain could start")
 
 
+class KindQueue:
+    """One request kind's queue in a channel: one slotted record, so a
+    request looks it up once and loads each field from it."""
+
+    __slots__ = ("wait", "occupancy", "capacity", "demand_capacity", "eligible",
+                 "hit_latency", "miss_latency", "hit_pj", "miss_pj", "hits", "misses")
+
+    def __init__(self, kind: int, timing: DevTiming, energy: EnergyMeter,
+                 capacity: int, reserve: int, eligible: bool):
+        self.wait = {}       # bank -> its unissued requests, for banks with any
+        self.occupancy = 0   # waiting + in service
+        # A request is admitted while the occupancy is below its capacity:
+        # migration traffic may fill every slot, demand leaves the reserve.
+        self.capacity, self.demand_capacity = capacity, capacity - reserve
+        self.eligible = eligible
+        self.hit_latency, self.miss_latency = (service_latency(timing, kind, o)
+                                               for o in (ROW_HIT, ROW_MISS))
+        if min(self.hit_latency, self.miss_latency) < 1:
+            raise ValueError(f"{timing.name}: a service latency rounds to 0 cycles")
+        # One block's dynamic energy, as EnergyMeter.access_pj computes it.
+        self.hit_pj, self.miss_pj = (energy.access_pj(BLOCK_BITS, kind, o)
+                                     for o in (ROW_HIT, ROW_MISS))
+        self.hits = self.misses = 0   # issued requests, cumulative
+
+
 class ChannelController:
     """FR-FCFS controller for one device channel.
 
@@ -114,9 +139,8 @@ class ChannelController:
     """
 
     __slots__ = (
-        "config", "energy", "shared", "n_banks", "banks", "latency", "energy_pj",
-        "wait", "occupancy", "capacity", "draining", "eligible",
-        "may_issue", "_high", "_low", "issued", "queue_wait_cycles",
+        "config", "energy", "shared", "n_banks", "banks", "queues", "draining",
+        "may_issue", "_high", "_low", "queue_wait_cycles",
     )
 
     def __init__(self, timing: DevTiming, geometry: DeviceGeometry,
@@ -128,28 +152,14 @@ class ChannelController:
         self.shared = shared
         self.n_banks = geometry.banks
         self.banks = [Bank(shared) for _ in range(geometry.banks)]
-        self.latency = [[service_latency(timing, k, o) for o in (ROW_HIT, ROW_MISS)]
-                        for k in (READ, WRITE)]   # by [kind][outcome]
-        if min(min(row) for row in self.latency) < 1:
-            raise ValueError(f"{timing.name}: a service latency rounds to 0 cycles")
-        # Dynamic energy of one block, by [kind][outcome]; the same float
-        # expression as EnergyMeter.access_pj, so the sums do not move.
-        self.energy_pj = [[energy.access_pj(BLOCK_BITS, k, o)
-                           for o in (ROW_HIT, ROW_MISS)] for k in (READ, WRITE)]
-        # By kind: bank -> its unissued requests, for banks that hold any, so
-        # a scan visits only the banks with something to issue.
-        self.wait = [{}, {}]
-        self.occupancy = [0, 0]   # by kind: waiting + in service
-        # Slots by [kind][is_demand]: migration traffic may fill them all,
-        # demand traffic leaves the migration reserve free. A request is
-        # admitted while occupancy[kind] is below its entry.
-        self.capacity = [(cap, cap - reserve) for cap, reserve in (
-            (config.read_queue_capacity, config.migration_reserve_reads),
-            (config.write_buffer_capacity, config.migration_reserve_writes))]
+        # By kind. Reads may always issue, writes in a drain or with
+        # opportunistic writes.
+        self.queues = (
+            KindQueue(READ, timing, energy, config.read_queue_capacity,
+                      config.migration_reserve_reads, True),
+            KindQueue(WRITE, timing, energy, config.write_buffer_capacity,
+                      config.migration_reserve_writes, config.opportunistic_writes))
         self.draining = False
-        # Whether a request of each kind may issue: reads always, writes in
-        # a drain or with opportunistic writes.
-        self.eligible = [True, config.opportunistic_writes]
         # Whether try_issue can find an eligible request on a free bank. Set
         # by every change that can make one: an eligible request enqueued on
         # a free bank, a completion freeing a bank with eligible requests
@@ -159,31 +169,28 @@ class ChannelController:
         self.may_issue = False
         self._high = config.drain_high_watermark * config.write_buffer_capacity
         self._low = config.drain_low_watermark * config.write_buffer_capacity
-        # Cumulative statistics (quantum deltas are taken by the simulator):
-        # the issued requests by [kind][outcome], and their queueing time.
-        self.issued = [[0, 0], [0, 0]]
+        # The issued requests' cumulative queueing time.
         self.queue_wait_cycles = 0
 
     # -- admission ------------------------------------------------------------
 
     def enqueue(self, req: MemRequest, cycle: int) -> bool:
         """Admit a request onto its page's bank; False when its queue is full."""
-        kind = req.kind
-        occupancy = self.occupancy
-        if occupancy[kind] >= self.capacity[kind][req.is_demand]:
+        queue = self.queues[req.kind]
+        if queue.occupancy >= (queue.demand_capacity if req.is_demand else queue.capacity):
             return False
         b = req.bank_id = req.page_id % self.n_banks
-        occupancy[kind] += 1
-        q = self.wait[kind].get(b)
+        queue.occupancy += 1
+        q = queue.wait.get(b)
         if q is None:
-            self.wait[kind][b] = [req]
+            queue.wait[b] = [req]
         else:
             q.append(req)
-        if kind == WRITE and not self.draining and occupancy[WRITE] > self._high:
-            self.draining = self.eligible[WRITE] = True
+        if req.kind == WRITE and not self.draining and queue.occupancy > self._high:
+            self.draining = queue.eligible = True
             self.may_issue = True   # the waiting writes now compete
         bank = self.banks[b]
-        if self.eligible[kind] and bank.busy_until <= cycle:
+        if queue.eligible and bank.busy_until <= cycle:
             self.may_issue = True
         req.arrival_cycle = cycle
         app = req.app_id
@@ -195,15 +202,17 @@ class ChannelController:
 
     def on_complete(self, req: MemRequest):
         """Release the queue slot; for writes this is array-restore time."""
-        self.occupancy[req.kind] -= 1
-        # Only a write completion can bring the write occupancy down to it.
-        if self.draining and self.occupancy[WRITE] <= self._low:
-            self.draining = False
-            self.eligible[WRITE] = self.config.opportunistic_writes
+        reads, writes = self.queues
+        if req.kind == WRITE:   # only a write completion can end a drain
+            writes.occupancy -= 1
+            if self.draining and writes.occupancy <= self._low:
+                self.draining = False
+                writes.eligible = self.config.opportunistic_writes
+        else:
+            reads.occupancy -= 1
         # The request's bank frees now (its busy span ends at completion).
         b = req.bank_id
-        wait = self.wait
-        if b in wait[READ] or (self.eligible[WRITE] and b in wait[WRITE]):
+        if b in reads.wait or (writes.eligible and b in writes.wait):
             self.may_issue = True
 
     # -- scheduling -----------------------------------------------------------
@@ -222,9 +231,10 @@ class ChannelController:
         banks = self.banks
         ready = []      # every bank's candidates, of both kinds
         winner = None
-        for kind in (WRITE, READ) if self.draining else (READ, WRITE):
-            wait = self.wait[kind]
-            if not wait or not self.eligible[kind]:
+        queues = self.queues
+        for queue in queues[::-1] if self.draining else queues:
+            wait = queue.wait
+            if not wait or not queue.eligible:
                 continue
             # The pool is the first kind with a candidate. FR-FCFS picks from
             # it a row hit, then the earliest arrival, then the lowest id: a
@@ -254,14 +264,21 @@ class ChannelController:
                     winner = r
         if winner is None:
             return None
-        kind, b = winner.kind, winner.bank_id
+        b = winner.bank_id
         # Did a bank other than the winner's hold one? A bank offers at most
         # a read and a write, so two candidates may share it, three cannot.
         n = len(ready)
         self.may_issue = n > 2 or n == 2 and ready[0].bank_id != ready[1].bank_id
         bank = banks[b]
-        outcome = ROW_HIT if w_hit else ROW_MISS
-        latency = self.latency[kind][outcome]
+        queue = queues[winner.kind]
+        if w_hit:
+            outcome, latency = ROW_HIT, queue.hit_latency
+            queue.hits += 1
+            self.energy.dynamic_pj += queue.hit_pj
+        else:
+            outcome, latency = ROW_MISS, queue.miss_latency
+            queue.misses += 1
+            self.energy.dynamic_pj += queue.miss_pj
         winner.outcome = outcome
         winner.completion_cycle = cycle + latency
         self.queue_wait_cycles += cycle - winner.arrival_cycle
@@ -280,33 +297,31 @@ class ChannelController:
             # Row-locality change: the winner arrived with its row open but
             # another application's activation closed it before service.
             if outcome == ROW_MISS and 0 <= winner.snap_opens < bank.opens_by_others(app):
-                winner.interference_delay += latency - self.latency[kind][ROW_HIT]
+                winner.interference_delay += latency - queue.hit_latency
 
-        wait = self.wait[kind]
+        wait = queue.wait
         q = wait[b]
         q.remove(winner)
         if not q:
             del wait[b]
-        self.issued[kind][outcome] += 1
         bank.occupy(app, cycle, latency)
         if outcome == ROW_MISS:
             bank.open_for(winner.page_id, app)
-        self.energy.dynamic_pj += self.energy_pj[kind][outcome]
         return winner
 
-    # Totals of `issued`, kept only because `bench/checks.py` reads them;
-    # ROADMAP item 13 deletes them.
-    issued_reads = property(lambda self: sum(self.issued[READ]))
-    issued_writes = property(lambda self: sum(self.issued[WRITE]))
-    row_hits = property(lambda self: sum(k[ROW_HIT] for k in self.issued))
-    row_misses = property(lambda self: sum(k[ROW_MISS] for k in self.issued))
+    # Totals of the issue counts, kept only because `bench/checks.py` reads
+    # them; ROADMAP item 13 deletes them.
+    issued_reads = property(lambda self: self.stats_snapshot()["issued_reads"])
+    issued_writes = property(lambda self: self.stats_snapshot()["issued_writes"])
+    row_hits = property(lambda self: self.stats_snapshot()["row_hits"])
+    row_misses = property(lambda self: self.stats_snapshot()["row_misses"])
 
     def stats_snapshot(self) -> dict:
-        (read_hits, read_misses), (write_hits, write_misses) = self.issued
-        hits, misses = read_hits + write_hits, read_misses + write_misses
+        reads, writes = self.queues
+        hits, misses = reads.hits + writes.hits, reads.misses + writes.misses
         return {
-            "issued_reads": read_hits + read_misses,
-            "issued_writes": write_hits + write_misses,
+            "issued_reads": reads.hits + reads.misses,
+            "issued_writes": writes.hits + writes.misses,
             "row_hits": hits,
             "row_misses": misses,
             "row_hit_rate": hits / (hits + misses) if hits or misses else 0.0,

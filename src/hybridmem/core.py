@@ -6,7 +6,8 @@ issue width, the head retires them at the same width. A read blocks the
 head until its data returns; those blocked cycles are the stall time.
 Stores retire immediately, but an un-injectable request (full write buffer
 or full read queue) gates further memory dispatch, and a pipeline fully
-drained behind a gated write also counts as stall time.
+drained behind a gated write also counts as stall time. The core also holds
+its application's request accounting, which `Simulation` keeps.
 
 Between memory events both pointers move linearly at the retire width, so
 the core advances to any cycle in one closed-form step rather than cycle by
@@ -52,8 +53,9 @@ class AppCore:
         "idx",
         "rob_capacity", "mshr_capacity", "cycle", "head", "tail",
         "next_mem_pos", "window_reads", "pending_inject", "outstanding_reads",
-        "tail_block", "head_pin", "next_wake", "stall_mode", "stall_anchor",
-        "t_stall", "warm_pos", "done_pos", "next_marker",
+        "outstanding_writes", "tail_block", "head_pin", "next_wake", "stall_mode",
+        "stall_anchor", "t_stall", "delay_anchor", "t_delay", "t_interference",
+        "t_outstanding", "warm_pos", "done_pos", "next_marker",
     )
     RETIRE_WIDTH = 3
 
@@ -83,7 +85,6 @@ class AppCore:
         # incomplete one, in dispatch order: the front is always incomplete.
         self.window_reads = deque()
         self.pending_inject = deque()  # requests parked on a full queue
-        self.outstanding_reads = 0     # MSHR occupancy, dispatch -> completion
         self.tail_block = None         # None | 'mshr' | 'gate' | 'rob'
         self.head_pin = None           # request the head is blocked on
         self.next_wake = float("inf")  # earliest pending wake event
@@ -93,6 +94,13 @@ class AppCore:
         self.stall_mode = STALL_NONE
         self.stall_anchor = 0
         self.t_stall = 0
+        # The simulator's request accounting: demand requests from dispatch to
+        # completion (the reads are the MSHR occupancy), the memory-busy span
+        # open since `delay_anchor` (None while none is), T_delay, and the sums
+        # of per-request blocked shares and of request lifetimes.
+        self.outstanding_reads = self.outstanding_writes = 0
+        self.delay_anchor = None
+        self.t_delay = self.t_interference = self.t_outstanding = 0
 
         self.warm_pos = warmup_instructions
         self.done_pos = warmup_instructions + measured_instructions
@@ -147,7 +155,6 @@ class AppCore:
             self.next_mem_pos = self.tail + self.gaps[self.idx]
             req = self.sim.dispatch(self, addr, kind, self.cycle)
             if kind == READ:
-                self.outstanding_reads += 1
                 self.window_reads.append((pos, req))
         self.tail_block = None
 
@@ -226,11 +233,10 @@ class AppCore:
     # -- wakeups --------------------------------------------------------------
 
     def on_read_complete(self, req, now: int):
-        # Settle up to `now` with the read still outstanding, then release it.
+        # Settle up to `now` with the read still incomplete, then release it.
         if now > self.cycle:
             self.advance(now)
         req.done = True
-        self.outstanding_reads -= 1
         wr = self.window_reads
         while wr and wr[0][1].done:
             wr.popleft()

@@ -8,6 +8,7 @@ cycles through the clock period.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace, fields
 
 from .fields import read_fields
@@ -47,8 +48,8 @@ class DevTiming:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.name != "name" and not v > 0:
-                raise ValueError(f"{f.name} must be > 0, got {v!r}")
+            if f.name != "name" and not 0 < v < math.inf:
+                raise ValueError(f"{f.name} must be finite and > 0, got {v!r}")
 
     def cycles(self, ns: float) -> int:
         """Convert a latency in ns to whole cycles (round to nearest)."""

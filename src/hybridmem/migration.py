@@ -239,10 +239,10 @@ class MigrationEngine:
         (the test `Simulation.inject_migration` makes). A stopped job holds
         one or the other, so a pump this test refuses would change nothing."""
         ctrls = self.sim.controllers
-        dst, src = ctrls[job.dst_channel], ctrls[job.src_channel]
-        return (job.pending_writes and dst.occupancy[WRITE] < dst.capacity[WRITE][False]
+        dst, src = ctrls[job.dst_channel].queues[WRITE], ctrls[job.src_channel].queues[READ]
+        return (job.pending_writes and dst.occupancy < dst.capacity
                 or job.inflight < self.inflight_blocks and job.next_read < job.blocks
-                and src.occupancy[READ] < src.capacity[READ][False])
+                and src.occupancy < src.capacity)
 
     def pump_job(self, job: MigrationJob, cycle: int):
         """Inject the job's buffered writes, then reads up to the in-flight

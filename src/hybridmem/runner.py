@@ -23,6 +23,7 @@ and `values` (see `parse_sweep_values`).
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import asdict, dataclass, fields, replace
 
 from .controller import ControllerConfig
@@ -50,6 +51,9 @@ class ExperimentConfig(RunSettings):
     seed: int = 0
 
     def sim_config(self) -> SimConfig:
+        for name in ("t_rcd_mult", "t_wr_mult"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, not {getattr(self, name)}")
         shared = {f.name: getattr(self, f.name) for f in fields(RunSettings)}
         nvm_timing = load_timing(self.nvm_preset).scaled(self.t_rcd_mult,
                                                          self.t_wr_mult)
@@ -109,8 +113,8 @@ class SweepSpec:
                 want = "a positive byte count"
             else:
                 ok = (isinstance(v, (tuple, list)) and len(v) == 2
-                      and all(isinstance(x, (int, float)) and x > 0 for x in v))
-                want = "a pair of positive (t_rcd_mult, t_wr_mult) multipliers"
+                      and all(isinstance(x, (int, float)) and 0 < x < math.inf for x in v))
+                want = "a pair of finite positive (t_rcd_mult, t_wr_mult) multipliers"
             if not ok:
                 raise ValueError(f"{self.axis} sweep value {v!r} is not {want}")
         keys = [v if self.axis == "dram_size" else tuple(v) for v in self.values]

@@ -5,10 +5,13 @@ placement policy into one event-driven loop. Events carry an explicit
 within-cycle priority so a cycle always unfolds as: completions, queue
 injections, core dispatches, then a service phase (parked-request retries,
 migration pumping, one command issue per channel), then quantum
-bookkeeping. MLP sampling runs on a fixed period and is batched across
-event gaps, which is exact because outstanding-request state only changes
-at events. Each core pushes its own wakes through `_push`, only ones
-earlier than its pending wake (`AppCore.next_wake`), which the loop clears.
+bookkeeping. `dispatch` and `_complete` keep each application's request
+accounting on its `AppCore`: in-flight counts, busy span, T_delay,
+T_interference and request lifetimes. MLP sampling runs on a fixed period
+and is batched across event gaps, which is exact because the in-flight
+counts only change at events. Each core pushes its own wakes through
+`_push`, only ones earlier than its pending wake (`AppCore.next_wake`),
+which the loop clears.
 
 No event is ever scheduled before the current cycle (`_push` raises), so
 simulated time only moves forward. The service phase is not a heap event:
@@ -143,8 +146,7 @@ class Simulation:
         "config", "page_bytes", "block_bytes", "blocks_per_page", "cycle",
         "_heap", "_seq", "finished", "dram_energy", "nvm_energy", "_dram",
         "_nvm", "controllers", "tag", "engine", "policy", "keeps_page_stats",
-        "store", "hot", "threshold", "latency_gaps", "cores", "outstanding",
-        "_delay_anchor", "t_delay", "t_interference", "t_outstanding",
+        "store", "hot", "threshold", "latency_gaps", "cores",
         "app_issued", "sensitivities", "_quantum_snaps", "_marker_snaps", "_done_count",
         "quantum_log", "quantum_index", "_next_req_id", "_phase_cycle",
         "_next_sample", "_parked", "_free_requests",
@@ -194,11 +196,6 @@ class Simulation:
             for i, tr in enumerate(traces)
         ]
         n = len(self.cores)
-        self.outstanding = [[0] * n, [0] * n]   # by [kind][app]
-        self._delay_anchor = [None] * n
-        self.t_delay = [0] * n
-        self.t_interference = [0] * n    # sum of per-request blocked shares
-        self.t_outstanding = [0] * n     # sum of per-request lifetimes
         # Issued demand requests by [app][kind][outcome].
         self.app_issued = [[[0, 0], [0, 0]] for _ in range(n)]
         # Each app's weight in the utility score, by app id: from the previous
@@ -246,11 +243,12 @@ class Simulation:
         req = MemRequest(self._next_req_id, core.app_id, addr // self.page_bytes, kind)
         req.mig_block = (addr % self.page_bytes) // self.block_bytes
         req.dispatch_cycle = cycle
-        app = core.app_id
-        out = self.outstanding
-        if out[READ][app] + out[WRITE][app] == 0:
-            self._delay_anchor[app] = cycle
-        out[kind][app] += 1
+        if not (core.outstanding_reads or core.outstanding_writes):
+            core.delay_anchor = cycle
+        if kind == READ:
+            core.outstanding_reads += 1
+        else:
+            core.outstanding_writes += 1
         self._push(cycle + LOOKUP_CYCLES, _EV_INJECT, req)
         return req
 
@@ -324,7 +322,8 @@ class Simulation:
         """
         channel = job.dst_channel if kind == WRITE else job.src_channel
         ctrl = self.controllers[channel]
-        if ctrl.occupancy[kind] >= ctrl.capacity[kind][False]:
+        queue = ctrl.queues[kind]
+        if queue.occupancy >= queue.capacity:
             return None   # the queue is full even to migration traffic
         self._next_req_id += 1
         free = self._free_requests
@@ -359,21 +358,23 @@ class Simulation:
         else:
             if req.channel != BUFFER_CHANNEL:
                 self.controllers[req.channel].on_complete(req)
-            app = req.app_id
-            out = self.outstanding
-            out[req.kind][app] -= 1
+            core = self.cores[req.app_id]
+            if req.kind == READ:
+                core.outstanding_reads -= 1
+            else:
+                core.outstanding_writes -= 1
             # Close a finished busy span before the core resumes: a request
             # it dispatches now opens the next span.
-            if out[READ][app] + out[WRITE][app] == 0:
-                self._settle_delay(app, cycle)
-                self._delay_anchor[app] = None
+            if not (core.outstanding_reads or core.outstanding_writes):
+                self._settle_delay(core, cycle)
+                core.delay_anchor = None
             if req.kind == READ:
-                self.cores[app].on_read_complete(req, cycle)
-            self.t_interference[app] += req.interference_delay
-            self.t_outstanding[app] += cycle - req.dispatch_cycle
+                core.on_read_complete(req, cycle)
+            core.t_interference += req.interference_delay
+            core.t_outstanding += cycle - req.dispatch_cycle
             if req.channel == NVM_CHANNEL and self.config.migration_enabled:
                 if self.keeps_page_stats:
-                    self.hot.on_complete(req.page_id, app, req.kind, self.store)
+                    self.hot.on_complete(req.page_id, req.app_id, req.kind, self.store)
                 self._maybe_migrate(req.page_id, cycle)
         if self._dram.may_issue or self._nvm.may_issue or self._parked \
                 or self.engine.n_blocked:
@@ -412,20 +413,22 @@ class Simulation:
         ticks = (up_to - 1 - first) // period + 1
         self._next_sample = first + ticks * period
         if self.hot.entries:
-            self.hot.sample(*self.outstanding, ticks)
+            self.hot.sample([c.outstanding_reads for c in self.cores],
+                            [c.outstanding_writes for c in self.cores], ticks)
 
-    def _settle_delay(self, app: int, cycle: int):
-        """Close the app's open memory-busy span at `cycle` into T_delay."""
-        anchor = self._delay_anchor[app]
+    @staticmethod
+    def _settle_delay(core: AppCore, cycle: int):
+        """Close the core's open memory-busy span at `cycle` into T_delay."""
+        anchor = core.delay_anchor
         if anchor is not None and cycle > anchor:
-            self.t_delay[app] += cycle - anchor
-            self._delay_anchor[app] = cycle
+            core.t_delay += cycle - anchor
+            core.delay_anchor = cycle
 
     def _settle(self, cycle: int):
         """Bring every core and every open stall/delay span up to `cycle`."""
-        for i, core in enumerate(self.cores):
+        for core in self.cores:
             core.advance(cycle)   # which leaves no stall span unsettled
-            self._settle_delay(i, cycle)
+            self._settle_delay(core, cycle)
 
     def _end_quantum(self, cycle: int):
         q = self.config.quantum_cycles
@@ -521,12 +524,13 @@ class Simulation:
     def _snapshot(self, app: int, cycle: int) -> dict:
         """The app's accounting counters as they stand, stamped `cycle`."""
         (read_hits, read_misses), (write_hits, write_misses) = self.app_issued[app]
+        core = self.cores[app]
         return {
             "cycle": cycle,
-            "t_stall": self.cores[app].t_stall,
-            "t_delay": self.t_delay[app],
-            "t_interference": self.t_interference[app],
-            "t_outstanding": self.t_outstanding[app],
+            "t_stall": core.t_stall,
+            "t_delay": core.t_delay,
+            "t_interference": core.t_interference,
+            "t_outstanding": core.t_outstanding,
             "reads": read_hits + read_misses,
             "writes": write_hits + write_misses,
             "row_hits": read_hits + write_hits,

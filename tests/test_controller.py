@@ -150,7 +150,7 @@ def test_full_buffer_forces_drain_and_low_watermark_exits():
     assert c.draining
     # Draining prefers writes; completions below the low watermark stop it.
     t = 0
-    while c.occupancy[WRITE] > 2:
+    while c.queues[WRITE].occupancy > 2:
         w = c.try_issue(t)
         if w is None:
             t += 1
@@ -255,10 +255,10 @@ def test_row_conversion_penalty():
     # Make the bank busy with the closer first despite FR-FCFS by issuing
     # at a cycle where only the closer is eligible: simulate by directly
     # servicing the closer.
-    c3.wait[READ][0].remove(victim)
+    c3.queues[READ].wait[0].remove(victim)
     w = c3.try_issue(0)
     assert w is closer
-    c3.wait[READ][0] = [victim]          # closer's issue emptied bank 0's list
+    c3.queues[READ].wait[0] = [victim]   # closer's issue emptied bank 0's list
     w2 = c3.try_issue(closer.completion_cycle)
     assert w2 is victim
     assert victim.outcome == ROW_MISS
@@ -388,7 +388,7 @@ def test_queue_state_by_kind_matches_the_requests_it_holds(steps, opportunistic)
             _, page, kind, demand, app = step
             r = req(i, page, kind, app if demand else SYSTEM_APP, demand)
             cap, reserve = capacity[kind]
-            space = c.occupancy[kind] < (cap - reserve if demand else cap)
+            space = c.queues[kind].occupancy < (cap - reserve if demand else cap)
             assert c.enqueue(r, cycle) == space
         elif step[0] == _ISSUE:
             r = c.try_issue(cycle)
@@ -399,10 +399,10 @@ def test_queue_state_by_kind_matches_the_requests_it_holds(steps, opportunistic)
             in_service.remove(r)
             cycle = max(cycle, r.completion_cycle)
             c.on_complete(r)
-        for kind in (READ, WRITE):
-            held = [(b, r) for b, q in c.wait[kind].items() for r in q]
-            assert all(c.wait[kind].values())   # only banks with waiting requests
-            assert c.occupancy[kind] == len(held) + sum(r.kind == kind
-                                                        for r in in_service)
+        for kind, queue in zip((READ, WRITE), c.queues):
+            held = [(b, r) for b, q in queue.wait.items() for r in q]
+            assert all(queue.wait.values())   # only banks with waiting requests
+            assert queue.occupancy == len(held) + sum(r.kind == kind
+                                                      for r in in_service)
             assert all(r.bank_id == b == r.page_id % GEO.banks for b, r in held)
-            assert c.occupancy[kind] <= capacity[kind][0]
+            assert queue.occupancy <= capacity[kind][0]

@@ -61,6 +61,13 @@ def test_timing_rejects_nonpositive_fields():
         DevTiming("bad", 1.875, 15, 0, 15, 15, 1, 1, 1, 1, 21)
 
 
+@pytest.mark.parametrize("t_rcd_ns", [-15, float("inf"), float("nan")])
+def test_timing_rejects_a_field_that_is_not_finite_and_positive(t_rcd_ns):
+    # An infinite latency used to pass, then overflow in `cycles`.
+    with pytest.raises(ValueError, match="^t_rcd_ns must be finite and > 0, got "):
+        DevTiming("bad", 1.875, 15, t_rcd_ns, 15, 15, 1, 1, 1, 1, 21)
+
+
 def test_energy_nvm_write_miss():
     m = EnergyMeter(NVM_BASELINE, DeviceGeometry(1 << 20))
     assert m.access_pj(512, WRITE, ROW_MISS) == pytest.approx(512 * (16.82 + 1.02))

@@ -175,6 +175,12 @@ def test_write_buffer_without_room_for_a_drain_fails_with_clear_message(tmp_path
                            "each 8 banks of 8192-byte pages, not 100000"),
     ("dram_bytes = 65536", "dram_bytes must be a positive multiple of 16 pages of "
                            "8192 bytes, whole 16-way tag sets, not 65536 (8 pages)"),
+    # The multipliers once failed naming the NVM timing field they scale, or
+    # with a traceback when infinite.
+    ("t_rcd_mult = 0", "t_rcd_mult must be finite and > 0, not 0.0"),
+    ("t_wr_mult = -2", "t_wr_mult must be finite and > 0, not -2.0"),
+    ("t_rcd_mult = inf", "t_rcd_mult must be finite and > 0, not inf"),
+    ("t_wr_mult = nan", "t_wr_mult must be finite and > 0, not nan"),
 ])
 def test_run_setting_the_simulator_cannot_run_fails_with_clear_message(
         tmp_path, capsys, setting, message):
@@ -184,6 +190,32 @@ def test_run_setting_the_simulator_cannot_run_fails_with_clear_message(
                    f"traces = {_write_traces(tmp_path, n=1)[0]}\n{setting}\n")
     assert cli.main(["run", "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--t-rcd-mult", "inf"], "t_rcd_mult must be finite and > 0, not inf"),
+    (["--t-rcd-mult", "0"], "t_rcd_mult must be finite and > 0, not 0.0"),
+    (["--t-wr-mult", "0"], "t_wr_mult must be finite and > 0, not 0.0"),
+])
+def test_cli_multiplier_the_simulator_cannot_run_fails_naming_it(tmp_path, capsys,
+                                                                 flags, message):
+    trace = _write_traces(tmp_path, n=1)[0]
+    assert cli.main(["run", "--trace", trace, "--no-alone", *flags,
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_timing_file_with_an_infinite_latency_fails_with_clear_message(tmp_path, capsys):
+    timing = tmp_path / "inf.cfg"
+    timing.write_text("".join(f"{f.name} = {getattr(NVM_BASELINE, f.name)}\n"
+                              for f in dataclasses.fields(DevTiming))
+                      .replace(f"t_rcd_ns = {NVM_BASELINE.t_rcd_ns}", "t_rcd_ns = inf"))
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[experiment]\ntraces = {_write_traces(tmp_path, n=1)[0]}\n"
+                   f"nvm_preset = {timing}\n")
+    assert cli.main(["run", "--config", str(ini), "--no-alone",
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: t_rcd_ns must be finite and > 0, got inf\n"
 
 
 def test_bad_trace_header_fails_with_path_and_key(tmp_path, capsys):
@@ -483,10 +515,25 @@ def test_cli_sweep_point_the_simulator_rejects_writes_an_error_row(tmp_path, cap
     ("dram_size", (), "sweep needs at least one value"),
     ("dram_size", (2 << 20, 1 << 20), "sweep values must be strictly increasing"),
     ("nvm_latency", ((1, 1), (1, 1)), "sweep values must be strictly increasing"),
+    ("nvm_latency", ((1, 1), (1, float("inf"))), "nvm_latency sweep value (1, inf) is "
+     "not a pair of finite positive (t_rcd_mult, t_wr_mult) multipliers"),
 ])
 def test_sweep_spec_rejects_what_it_cannot_sweep(axis, values, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         runner.SweepSpec(axis, values).validate()
+
+
+def test_cli_sweep_of_an_infinite_multiplier_fails_before_any_point(tmp_path, capsys):
+    # It used to run the finite point and report the other as
+    # `FAILED: cannot convert float infinity to integer`.
+    ini = _sweep_ini(tmp_path, "")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(ini), "--axis", "nvm_latency",
+                     "--values", "1,1;1,inf", "--no-alone", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: nvm_latency sweep value (1.0, inf) is not a pair of finite positive "
+        "(t_rcd_mult, t_wr_mult) multipliers\n")
+    assert not list(out.glob("report_*.json"))
 
 
 def test_cli_sweep_values_without_any_axis_fail_naming_the_flag(tmp_path, capsys):

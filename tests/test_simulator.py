@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import math
 import random
+import sys
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -147,10 +149,12 @@ def test_core_instances_have_no_dict():
 
 
 def test_controller_instances_have_no_dict():
+    # Nor do their per-kind queue records, which every request reads.
     for ctrl in Simulation(_small_config(), _spread_mix(read_fraction=0.7)).controllers:
-        assert not hasattr(ctrl, "__dict__")
-        with pytest.raises(AttributeError):
-            ctrl.unlisted = 1
+        for record in (ctrl, *ctrl.queues):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(AttributeError):
+                record.unlisted = 1
 
 
 # -- the benchmark's tracing hooks and counts -----------------------------------
@@ -164,7 +168,12 @@ def _bench_module(name: str):
     """`bench/<name>.py`, executed from its source without writing anything."""
     path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
     module = types.ModuleType(f"bench_{name}")
-    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    # A dataclass looks its module up while it is being built.
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
     return module
 
 
@@ -195,22 +204,38 @@ def test_every_traced_layer_method_is_called_on_a_short_mix(monkeypatch):
     assert not [name for name, n in calls.items() if n == 0]
 
 
-@pytest.mark.parametrize("case", ["ubm", "one-application-all-writes"])
+def _nomig_longtrace_case():
+    """A `nomig_longtrace` mix (bench/workloads.py): four applications,
+    migration off, traces 20 windows long; a window of 10,000 instructions."""
+    workloads = _bench_module("workloads")
+    workload = replace(workloads.WORKLOADS["nomig_longtrace"], instructions=10_000)
+    span = workload.instructions * workload.trace_span
+    traces = [generate(spec, math.ceil(span * spec.target_mpki / 1000))
+              for spec in workloads.specs(workload, seed=1, mix=0)]
+    return workload.config(()).sim_config(), traces
+
+
+@pytest.mark.parametrize("case", ["ubm", "one-application-all-writes", "nomig_longtrace"])
 def test_bench_counts_match_the_simulators_own_state(case):
     if case == "ubm":   # two applications, migrating
         config, traces = _spread_case(case)
+    elif case == "nomig_longtrace":
+        config, traces = _nomig_longtrace_case()
     else:
         fields, read_fraction, _ = _ALONE["all-writes"]
         config, traces = _small_config(**fields), _spread_mix(read_fraction)[:1]
     sim = _Injections(config, traces).run()
     counts = _bench_module("checks").sim_counts(sim)
     snapshots = [ctrl.stats_snapshot() for ctrl in sim.controllers]
-    assert sim.finished and sim.engine.pages_promoted > 0
-    assert counts["issued"] == sum(n for ctrl in sim.controllers
-                                   for by_kind in ctrl.issued for n in by_kind)
+    migrates = config.migration_enabled
+    assert sim.finished and (sim.engine.pages_promoted > 0) == migrates
+    # The issue counts as each controller's per-kind records hold them.
+    assert counts["issued"] == sum(q.hits + q.misses for ctrl in sim.controllers
+                                   for q in ctrl.queues)
     assert counts["demand_issued"] == sum(n for app in sim.app_issued
                                           for by_kind in app for n in by_kind)
-    assert counts["demand_issued"] < counts["issued"]
+    assert (counts["demand_issued"] < counts["issued"]) == migrates
+    assert counts["instructions"] >= len(sim.cores) * config.measured_instructions
     assert counts["row_hits"] == sum(snap["row_hits"] for snap in snapshots)
     assert counts["row_misses"] == sum(snap["row_misses"] for snap in snapshots)
     assert counts["row_hits"] + counts["row_misses"] == counts["issued"]
@@ -299,7 +324,79 @@ def test_t_delay_counts_every_cycle_with_a_request_outstanding():
     config = _read_only_config(quantum_cycles=10**9).sim_config()
     sim = _BusyMeter(config, _read_only_mix()).run()
     assert sim.finished
-    assert sim.t_delay == [sim.busy_cycles(i) for i in range(len(sim.cores))]
+    assert [core.t_delay for core in sim.cores] == [sim.busy_cycles(i)
+                                                    for i in range(len(sim.cores))]
+
+
+class _SampledHot(HotPageCounters):
+    """MLP counters that record whether every sampling tick saw each
+    application's in-flight demand reads and writes."""
+
+    def __init__(self, sim):
+        super().__init__()
+        self.sim = sim
+
+    def sample(self, reads_by_app, writes_by_app, count=1):
+        sim = self.sim
+        sim.samples += 1
+        reads, writes = zip(*sim.in_flight)
+        if (list(reads_by_app), list(writes_by_app)) != (list(reads), list(writes)):
+            sim.wrong.append((sim.cycle, "sample", reads_by_app, writes_by_app))
+        super().sample(reads_by_app, writes_by_app, count)
+
+
+class _InFlight(_BusyMeter):
+    """Counts each application's demand reads and writes dispatched and not
+    yet completed (`in_flight`), and records in `wrong` every dispatch or
+    completion after which a core's `outstanding_reads`/`outstanding_writes`
+    differ from them, or its busy span is not open exactly while one is."""
+
+    def __init__(self, config, traces):
+        self.in_flight = [[0, 0] for _ in traces]   # by [app][kind]
+        self.wrong = []
+        self.checks = self.samples = 0
+        super().__init__(config, traces)
+        self.hot = _SampledHot(self)
+
+    def dispatch(self, core, addr, kind, cycle):
+        req = super().dispatch(core, addr, kind, cycle)
+        self.in_flight[core.app_id][kind] += 1
+        self._check(req)
+        return req
+
+    def _complete(self, req, cycle):
+        # Before the completion runs: its core may dispatch inside it.
+        if req.is_demand:
+            self.in_flight[req.app_id][req.kind] -= 1
+        super()._complete(req, cycle)
+        self._check(req)
+
+    def _check(self, req):
+        self.checks += 1
+        for core, (reads, writes) in zip(self.cores, self.in_flight):
+            if ((core.outstanding_reads, core.outstanding_writes) != (reads, writes)
+                    or (core.delay_anchor is None) != (reads + writes == 0)):
+                self.wrong.append((self.cycle, core.app_id, req.id, reads, writes))
+
+
+@pytest.mark.parametrize("group", ["spread", "fuzz", "gated-write"])
+def test_in_flight_counts_are_the_dispatched_requests_not_yet_completed(group):
+    # Each core holds its application's only in-flight counts; the busy
+    # spans (T_delay) and the MLP sampler both read them.
+    cases = {"spread": lambda: [_spread_case(case) for case in _SPREAD],
+             "fuzz": lambda: [_fuzz_case(seed) for seed in _FUZZ],
+             "gated-write": lambda: [(_gated_write_config().sim_config(),
+                                      [generate(_gated_write_spec(1), 1000)])]}[group]()
+    checks = samples = writes = 0
+    for config, traces in cases:
+        sim = _InFlight(config, traces).run()
+        assert sim.wrong == []
+        assert [core.t_delay for core in sim.cores] == [sim.busy_cycles(i)
+                                                        for i in range(len(sim.cores))]
+        checks, samples = checks + sim.checks, samples + sim.samples
+        writes += sum(app[1][0] + app[1][1] for app in sim.app_issued)
+    assert checks > 1000 and writes > 100
+    assert (samples > 100) == (group != "gated-write")   # `all` keeps no statistics
 
 
 def test_loaded_long_trace_runs_as_in_memory_and_decodes_a_prefix(tmp_path):
@@ -447,7 +544,7 @@ def test_golden_one_application(case):
     assert _state_digest(sim) == digest
     demand = [r for r in sim.completed if r.is_demand]
     assert demand and all(r.interference_delay == 0 for r in demand)
-    assert sim.t_interference == [0]
+    assert sim.cores[0].t_interference == 0
     assert sim.measured_window(0)["t_interference"] == 0
 
 
