@@ -268,4 +268,8 @@ def load_timing(source) -> DevTiming:
             entries.append((lineno, key.strip().lower(), value.strip()))
     if all(key != "name" for _, key, _ in entries):
         entries.append((None, "name", name))
-    return DevTiming(**read_fields(DevTiming, source, entries))
+    kwargs = read_fields(DevTiming, source, entries)
+    try:
+        return DevTiming(**kwargs)
+    except ValueError as exc:   # a value that parses but is out of range
+        raise ValueError(f"{source}: {exc}") from None

@@ -13,9 +13,10 @@ combined benefit.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
-from .ubm import StatStore, page_stall_reduction
+from .ubm import StatStore, ThresholdController, page_stall_reduction
 
 PROMOTE = "promote"
 STAY = "stay"
@@ -27,6 +28,10 @@ class PolicyDecision(NamedTuple):
     score: float = 0.0
 
 
+# A `PolicyDecision` built without its Python-level `__new__`, at a third of the cost.
+_decision = partial(tuple.__new__, PolicyDecision)
+
+
 class PlacementPolicy:
     # `bench/spans.py` times `decide` on this class and on each subclass
     # that defines its own, by replacing it there; keep it a method.
@@ -35,10 +40,10 @@ class PlacementPolicy:
     def score(self, page_id: int, store: StatStore, ctx) -> float:
         raise NotImplementedError
 
-    def decide(self, page_id: int, store: StatStore, ctx, threshold: float) -> PolicyDecision:
-        s = self.score(page_id, store, ctx)
-        action = PROMOTE if s > threshold else STAY
-        return PolicyDecision(page_id, action, s)
+    def decide(self, page_id: int, store: StatStore, ctx,
+               threshold: ThresholdController) -> PolicyDecision:
+        s = self.score(page_id, store, ctx)   # `observe_score` counts it for the step
+        return _decision((page_id, PROMOTE if threshold.observe_score(s) else STAY, s))
 
 
 class AllPolicy(PlacementPolicy):
@@ -48,7 +53,7 @@ class AllPolicy(PlacementPolicy):
     scores_pages = False
 
     def decide(self, page_id, store, ctx, threshold):
-        return PolicyDecision(page_id, PROMOTE, 1.0)
+        return _decision((page_id, PROMOTE, 1.0))
 
 
 class FreqPolicy(PlacementPolicy):

@@ -37,9 +37,10 @@ in flight to NVM, and the MLP sampling that feeds them -- model hardware
 that only a scoring policy needs, so a run keeps them only when migration
 is on and its policy scores pages (`PlacementPolicy.scores_pages`): never
 under `all`, which promotes every page, nor with migration off. That moves
-no simulated output, because nothing but the policy's score reads the
-statistics; only the `top_pages` debug table does, and it is empty on such
-runs.
+no simulated output: only the policy's score and the `top_pages` debug
+table read them. Each record is found by an int key: a stat-store entry
+through the store's page index, a hot page's MLP counters by page and
+application in one number; a sampling tick reads each record's core.
 """
 
 from __future__ import annotations
@@ -185,7 +186,6 @@ class Simulation:
         self.policy = make_policy(config.policy)
         self.keeps_page_stats = config.migration_enabled and self.policy.scores_pages
         self.store = StatStore()
-        self.hot = HotPageCounters()
         self.threshold = ThresholdController()
         # NVM-DRAM (read, write) miss-latency gaps the policies score with.
         self.latency_gaps = ubm.latency_gaps(config.dram_timing, config.nvm_timing)
@@ -195,6 +195,7 @@ class Simulation:
                     config.warmup_instructions, config.measured_instructions)
             for i, tr in enumerate(traces)
         ]
+        self.hot = HotPageCounters(self.cores)
         n = len(self.cores)
         # Issued demand requests by [app][kind][outcome].
         self.app_issued = [[[0, 0], [0, 0]] for _ in range(n)]
@@ -383,11 +384,7 @@ class Simulation:
     def _maybe_migrate(self, page: int, cycle: int):
         if page in self.engine.migrating or self.tag.resident(page):
             return
-        decision = self.policy.decide(page, self.store, self,
-                                      self.threshold.threshold)
-        if self.policy.scores_pages:
-            self.threshold.observe_score(decision.score)
-        if decision.action == PROMOTE:
+        if self.policy.decide(page, self.store, self, self.threshold).action == PROMOTE:
             self.engine.request_promotion(page, cycle)
 
     def on_issue(self, req: MemRequest):
@@ -413,8 +410,7 @@ class Simulation:
         ticks = (up_to - 1 - first) // period + 1
         self._next_sample = first + ticks * period
         if self.hot.entries:
-            self.hot.sample([c.outstanding_reads for c in self.cores],
-                            [c.outstanding_writes for c in self.cores], ticks)
+            self.hot.sample(ticks)
 
     @staticmethod
     def _settle_delay(core: AppCore, cycle: int):

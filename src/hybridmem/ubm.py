@@ -42,13 +42,8 @@ class PageStats:
     def __init__(self, page_id: int, app_id: int):
         self.page_id = page_id
         self.app_id = app_id
-        self.read_misses = 0
-        self.write_misses = 0
-        self.acc_read = 0        # units of 1/1024
-        self.acc_write = 0
-        self.weight_read = 0
-        self.weight_write = 0
-        self.access_count = 0
+        self.read_misses = self.write_misses = self.access_count = 0
+        self.acc_read = self.acc_write = self.weight_read = self.weight_write = 0
 
     def count_issue(self, kind: int, hit: bool):
         """Count an issued request: an access, and a row miss unless `hit`."""
@@ -76,18 +71,8 @@ class PageStats:
             self.weight_write = w if w < MLP_WEIGHT_MAX else MLP_WEIGHT_MAX
 
     def halve(self):
-        self.read_misses >>= 1
-        self.write_misses >>= 1
-        self.acc_read >>= 1
-        self.acc_write >>= 1
-        self.weight_read >>= 1
-        self.weight_write >>= 1
-        self.access_count >>= 1
-
-
-def mlp_quotient(m: int, n: int) -> int:
-    """m/n rounded to the 10-fractional-bit grid (the hardware ROM step)."""
-    return (m * MLP_ONE + n // 2) // n
+        for name in self.__slots__[2:]:   # every counter
+            setattr(self, name, getattr(self, name) >> 1)
 
 
 def avg_mlp_ratio(entry: PageStats) -> tuple[float, float]:
@@ -149,12 +134,14 @@ def sensitivity(speedup: float, quantum_cycles: int) -> float:
 
 
 class StatStore:
-    """Set-associative store of PageStats keyed by (page, application).
+    """Set-associative store of PageStats, one per (page, application).
 
     The set index depends only on the page id, so every application's entry
     for a shared page lands in the same set. LRU replacement within each
-    set. A page index lists each page's entries in the order they hold in
-    their set, so looking up or dropping a page's entries needs no scan of
+    set: a set is an OrderedDict whose keys are its entries, least recently
+    used first. A page index (`_pages`) lists each page's entries in the
+    order they hold in their set, so a lookup finds a (page, application)
+    entry among its page's entries, and dropping a page needs no scan of
     the set. A set is the shared `migration.EMPTY_SET` until its first
     entry; only `get_or_alloc`'s allocation gives it its own dict, so a run
     that keeps no page statistics builds none. `bench/spans.py` times
@@ -170,33 +157,36 @@ class StatStore:
         self.evictions = 0
 
     def get_or_alloc(self, page_id: int, app_id: int) -> PageStats:
+        entries = self._pages.get(page_id)
+        if entries is not None:
+            entry = entries[-1]
+            if entry.app_id == app_id:   # the page's most recently used
+                self.sets[page_id % self.num_sets].move_to_end(entry)
+                return entry
+            for entry in entries:
+                if entry.app_id == app_id:
+                    self.sets[page_id % self.num_sets].move_to_end(entry)
+                    entries.remove(entry)
+                    entries.append(entry)
+                    return entry
         s = self.sets[page_id % self.num_sets]
-        key = (page_id, app_id)
-        entry = s.get(key)
-        if entry is None:
-            if s is EMPTY_SET:
-                s = self.sets[page_id % self.num_sets] = OrderedDict()
-            elif len(s) >= self.ways:
-                # The set's LRU entry is also the LRU one of its page.
-                (page, _app), _ = s.popitem(last=False)
-                entries = self._pages[page]
-                del entries[0]
-                if not entries:
-                    del self._pages[page]
-                self.evictions += 1
-            entry = PageStats(page_id, app_id)
-            s[key] = entry
-            entries = self._pages.get(page_id)
-            if entries is None:
-                self._pages[page_id] = [entry]
-            else:
-                entries.append(entry)
+        if s is EMPTY_SET:
+            s = self.sets[page_id % self.num_sets] = OrderedDict()
+        elif len(s) >= self.ways:
+            # The set's LRU entry is also the LRU one of its page.
+            victim, _ = s.popitem(last=False)
+            evicted = self._pages[victim.page_id]
+            del evicted[0]
+            if not evicted:
+                del self._pages[victim.page_id]
+            self.evictions += 1
+        entry = PageStats(page_id, app_id)
+        s[entry] = None
+        entries = self._pages.get(page_id)   # the eviction may have emptied it
+        if entries is None:
+            self._pages[page_id] = [entry]
         else:
-            s.move_to_end(key)
-            entries = self._pages[page_id]
-            if entries[-1] is not entry:
-                entries.remove(entry)
-                entries.append(entry)
+            entries.append(entry)
         return entry
 
     def entries_for_page(self, page_id: int) -> list[PageStats]:
@@ -208,40 +198,43 @@ class StatStore:
         if entries:
             s = self.sets[page_id % self.num_sets]
             for e in entries:
-                del s[(page_id, e.app_id)]
+                del s[e]
 
     def halve_all(self):
-        for s in self.sets:
-            for e in s.values():
-                e.halve()
+        for e in self.iter_entries():
+            e.halve()
 
     def iter_entries(self):
         for s in self.sets:
-            yield from s.values()
+            yield from s
 
 
 class HotPageCounters:
     """Temporary MLP counters for pages with in-flight requests to NVM.
 
-    An entry exists exactly while its page has outstanding NVM requests;
-    when the last one completes the accumulated samples fold into the stat
-    store and the entry disappears. A record is [m_read, m_write, acc_read,
-    acc_write, weight_read, weight_write, app_id]: outstanding requests by
-    kind (`device.READ`, `device.WRITE`), sample sums and weights, and the
-    key's app id, for `sample`. `bench/spans.py` times `sample`, `on_inject`
-    and `on_complete` by replacing them on this class, so each must stay a
-    method defined here.
+    An entry exists exactly while its page has outstanding NVM requests of
+    one application; when the last one completes the accumulated samples
+    fold into the stat store and the entry disappears. A record is
+    [m_read, m_write, acc_read, acc_write, weight_read, weight_write, core]:
+    outstanding requests by kind (`device.READ`, `device.WRITE`), sample
+    sums and weights, and the application's core, whose in-flight counts
+    `sample` reads. `entries` keys each record by the int
+    `page_id * len(cores) + app_id`, so a lookup builds no tuple.
+    `bench/spans.py` times `sample`, `on_inject` and `on_complete` by
+    replacing them on this class, so each must stay a method defined here.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "cores")
 
-    def __init__(self):
-        self.entries = {}  # (page_id, app_id) -> record
+    def __init__(self, cores):
+        self.entries = {}  # page_id * len(cores) + app_id -> record
+        self.cores = cores
 
     def on_inject(self, page_id: int, app_id: int, kind: int):
-        e = self.entries.get((page_id, app_id))
+        key = page_id * len(self.cores) + app_id
+        e = self.entries.get(key)
         if e is None:
-            e = self.entries[(page_id, app_id)] = [0, 0, 0, 0, 0, 0, app_id]
+            e = self.entries[key] = [0, 0, 0, 0, 0, 0, self.cores[app_id]]
         e[kind] += 1
 
     def on_complete(self, page_id: int, app_id: int, kind: int,
@@ -250,7 +243,7 @@ class HotPageCounters:
 
         Returns the stat-store entry when a fold happened, else None.
         """
-        key = (page_id, app_id)
+        key = page_id * len(self.cores) + app_id
         e = self.entries[key]
         e[kind] -= 1
         if e[0] or e[1]:
@@ -261,13 +254,14 @@ class HotPageCounters:
             entry.add_samples(e[2], e[4], e[3], e[5])
         return entry
 
-    def sample(self, reads_by_app, writes_by_app, count: int = 1):
-        """Apply `count` sampling ticks: accumulate m/N for every hot page.
+    def sample(self, count: int = 1):
+        """Apply `count` sampling ticks: add m/N, rounded to the grid of 10
+        fractional bits (the hardware ROM step), for every hot page.
 
-        reads_by_app / writes_by_app are indexable by app id and give each
-        application's total outstanding request counts; ticks may be batched
-        while the counts are unchanged (saturating adds commute with
-        batching).
+        N is the record's core's `outstanding_reads` (or `_writes`), never
+        below the record's own m, as the core's count includes the page's
+        requests. Ticks may be batched while the counts are unchanged
+        (saturating adds commute with batching).
         """
         one = MLP_ONE
         acc_max = MLP_ACC_MAX
@@ -275,20 +269,18 @@ class HotPageCounters:
         for e in self.entries.values():
             m = e[0]
             if m:
-                n = reads_by_app[e[6]]
-                if n >= m:
-                    a = e[2] + count * ((m * one + n // 2) // n)
-                    e[2] = a if a < acc_max else acc_max
-                    a = e[4] + count * m
-                    e[4] = a if a < w_max else w_max
+                n = e[6].outstanding_reads
+                a = e[2] + count * ((m * one + n // 2) // n)
+                e[2] = a if a < acc_max else acc_max
+                a = e[4] + count * m
+                e[4] = a if a < w_max else w_max
             m = e[1]
             if m:
-                n = writes_by_app[e[6]]
-                if n >= m:
-                    a = e[3] + count * ((m * one + n // 2) // n)
-                    e[3] = a if a < acc_max else acc_max
-                    a = e[5] + count * m
-                    e[5] = a if a < w_max else w_max
+                n = e[6].outstanding_writes
+                a = e[3] + count * ((m * one + n // 2) // n)
+                e[3] = a if a < acc_max else acc_max
+                a = e[5] + count * m
+                e[5] = a if a < w_max else w_max
 
 
 class ThresholdController:
@@ -311,10 +303,12 @@ class ThresholdController:
         self._score_sum = 0.0
         self._score_count = 0
 
-    def observe_score(self, score: float):
+    def observe_score(self, score: float) -> bool:
+        """Count a nonzero score toward the next step; whether it passes."""
         if score > 0.0:
             self._score_sum += score
             self._score_count += 1
+        return score > self.threshold
 
     def end_quantum(self, total_stall: int):
         if self._score_count:

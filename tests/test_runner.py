@@ -215,7 +215,8 @@ def test_timing_file_with_an_infinite_latency_fails_with_clear_message(tmp_path,
                    f"nvm_preset = {timing}\n")
     assert cli.main(["run", "--config", str(ini), "--no-alone",
                      "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == "error: t_rcd_ns must be finite and > 0, got inf\n"
+    assert capsys.readouterr().err == (f"error: {timing}: t_rcd_ns must be finite "
+                                       f"and > 0, got inf\n")
 
 
 def test_bad_trace_header_fails_with_path_and_key(tmp_path, capsys):

@@ -330,26 +330,31 @@ def test_t_delay_counts_every_cycle_with_a_request_outstanding():
 
 class _SampledHot(HotPageCounters):
     """MLP counters that record whether every sampling tick saw each
-    application's in-flight demand reads and writes."""
+    application's in-flight demand reads and writes, and no hot record
+    with more of them than its core."""
 
     def __init__(self, sim):
-        super().__init__()
+        super().__init__(sim.cores)
         self.sim = sim
 
-    def sample(self, reads_by_app, writes_by_app, count=1):
+    def sample(self, count=1):
         sim = self.sim
         sim.samples += 1
-        reads, writes = zip(*sim.in_flight)
-        if (list(reads_by_app), list(writes_by_app)) != (list(reads), list(writes)):
-            sim.wrong.append((sim.cycle, "sample", reads_by_app, writes_by_app))
-        super().sample(reads_by_app, writes_by_app, count)
+        counts = [[core.outstanding_reads, core.outstanding_writes] for core in self.cores]
+        if counts != sim.in_flight:
+            sim.wrong.append((sim.cycle, "sample", counts))
+        sim.check_hot_records()
+        super().sample(count)
 
 
 class _InFlight(_BusyMeter):
     """Counts each application's demand reads and writes dispatched and not
     yet completed (`in_flight`), and records in `wrong` every dispatch or
     completion after which a core's `outstanding_reads`/`outstanding_writes`
-    differ from them, or its busy span is not open exactly while one is."""
+    differ from them, or its busy span is not open exactly while one is.
+    Its sampler (`_SampledHot`) adds every sampling tick at which a hot
+    page's record holds more in-flight reads or writes than its core: the
+    core's counts are what `HotPageCounters.sample` divides by."""
 
     def __init__(self, config, traces):
         self.in_flight = [[0, 0] for _ in traces]   # by [app][kind]
@@ -377,6 +382,15 @@ class _InFlight(_BusyMeter):
             if ((core.outstanding_reads, core.outstanding_writes) != (reads, writes)
                     or (core.delay_anchor is None) != (reads + writes == 0)):
                 self.wrong.append((self.cycle, core.app_id, req.id, reads, writes))
+
+    def check_hot_records(self):
+        # Not after each dispatch: one nested in a completion runs after the
+        # core's count went down but before the page's record did.
+        apps = len(self.cores)
+        for key, (m_read, m_write, *_, core) in self.hot.entries.items():
+            if (core is not self.cores[key % apps] or m_read > core.outstanding_reads
+                    or m_write > core.outstanding_writes or not m_read + m_write):
+                self.wrong.append((self.cycle, "hot record", key, m_read, m_write))
 
 
 @pytest.mark.parametrize("group", ["spread", "fuzz", "gated-write"])

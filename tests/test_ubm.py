@@ -11,12 +11,17 @@ from hybridmem.ubm import (
     ACCESS_COUNT_MAX, HotPageCounters, MISS_COUNT_MAX, MLP_ACC_MAX, MLP_ONE,
     MLP_WEIGHT_MAX, PageStats,
     StatStore, ThresholdController, avg_mlp_ratio, estimate_speedup,
-    WRITE_CRITICALITY_P, latency_gaps, mlp_quotient, page_stall_reduction,
+    WRITE_CRITICALITY_P, latency_gaps, page_stall_reduction,
     quantize_speedup, sensitivity,
 )
 
 ULP = 1.0 / MLP_ONE  # one unit of the 10-fractional-bit grid
 BASELINE_GAPS = latency_gaps(DRAM_BASELINE, NVM_BASELINE)
+
+
+def mlp_quotient(m: int, n: int) -> int:
+    """The reference sample: m/n rounded to the 10-fractional-bit grid."""
+    return (m * MLP_ONE + n // 2) // n
 
 
 def entry(read_misses=0, write_misses=0, samples_read=(), samples_write=()):
@@ -34,42 +39,64 @@ def entry(read_misses=0, write_misses=0, samples_read=(), samples_write=()):
 
 # -- sampling updates ---------------------------------------------------------
 
+class _Core:
+    """An application's in-flight request counts, which `sample` reads."""
+
+    def __init__(self, reads=0, writes=0):
+        self.outstanding_reads = reads
+        self.outstanding_writes = writes
+
+
+def _hot(*counts):
+    """Counters over cores with these (reads, writes) in flight, by app."""
+    return HotPageCounters([_Core(reads, writes) for reads, writes in counts])
+
+
+def _key(hot, page, app):
+    return page * len(hot.cores) + app
+
+
+def _record(hot, page, app):
+    return hot.entries[_key(hot, page, app)]
+
+
 def test_sample_full_overlap():
-    hot = HotPageCounters()
+    hot = _hot((2, 0))
     hot.on_inject(5, 0, READ)
     hot.on_inject(5, 0, READ)
-    hot.sample([2], [0])  # m_read=2, N_read=2
-    e = hot.entries[(5, 0)]
+    hot.sample()  # m_read=2, N_read=2
+    e = _record(hot, 5, 0)
     assert e[2] == MLP_ONE          # += 1.0
     assert e[4] == 2                # += m
 
 
 def test_sample_quarter_ratio():
-    hot = HotPageCounters()
+    hot = _hot((4, 0))
     hot.on_inject(5, 0, READ)
-    hot.sample([4], [0])  # m_read=1, N_read=4
-    e = hot.entries[(5, 0)]
+    hot.sample()  # m_read=1, N_read=4
+    e = _record(hot, 5, 0)
     assert e[2] == MLP_ONE // 4     # += 0.25 exactly
     assert e[4] == 1
 
 
 def test_sample_zero_outstanding_no_update():
-    hot = HotPageCounters()
+    hot = _hot((3, 1))
     hot.on_inject(5, 0, WRITE)      # one write, zero reads
-    hot.sample([3], [1])
-    e = hot.entries[(5, 0)]
+    hot.sample()
+    e = _record(hot, 5, 0)
     assert e[2] == 0 and e[4] == 0  # read side untouched
     assert e[3] == MLP_ONE and e[5] == 1
 
 
 def test_sample_batched_equals_repeated():
-    a, b = HotPageCounters(), HotPageCounters()
+    cores = [_Core(2, 0)]
+    a, b = HotPageCounters(cores), HotPageCounters(cores)
     for h in (a, b):
         h.on_inject(1, 0, READ)
         h.on_inject(2, 0, READ)
     for _ in range(7):
-        a.sample([2], [0])
-    b.sample([2], [0], count=7)
+        a.sample()
+    b.sample(count=7)
     assert a.entries == b.entries
 
 
@@ -90,23 +117,28 @@ _ticks = st.one_of(st.just(1), st.integers(1, 40), st.integers(1, 1 << 26))
 
 @given(_hot_records, _app_counts, _app_counts, _ticks)
 def test_sample_saturates_as_the_min_reference(records, reads, writes, count):
-    hot = HotPageCounters()
+    # Each core has its hot pages' requests in flight and `reads`/`writes`
+    # more, as in a run, where a core's counts include every page's.
+    hot = _hot(*zip(reads, writes))
     for page, (app, m_read, m_write, *sums) in enumerate(records):
         for _ in range(m_read):
             hot.on_inject(page, app, READ)
         for _ in range(m_write):
             hot.on_inject(page, app, WRITE)
+        hot.cores[app].outstanding_reads += m_read
+        hot.cores[app].outstanding_writes += m_write
         if m_read or m_write:
-            hot.entries[(page, app)][2:6] = sums
+            _record(hot, page, app)[2:6] = sums
     expected = {}
-    for (page, app), e in hot.entries.items():
-        e = expected[(page, app)] = list(e)
-        for side, by_app in ((0, reads), (1, writes)):
-            m, n = e[side], by_app[app]
-            if m and n >= m:
+    for key, e in hot.entries.items():
+        e = expected[key] = list(e)
+        core = e[6]
+        for side, n in ((0, core.outstanding_reads), (1, core.outstanding_writes)):
+            m = e[side]
+            if m:
                 e[2 + side] = min(e[2 + side] + count * mlp_quotient(m, n), MLP_ACC_MAX)
                 e[4 + side] = min(e[4 + side] + count * m, MLP_WEIGHT_MAX)
-    hot.sample(reads, writes, count)
+    hot.sample(count)
     assert hot.entries == expected
 
 
@@ -123,36 +155,44 @@ def test_add_samples_saturates_as_the_min_reference(acc_r, w_r, acc_w, w_w, adds
 
 
 def test_mlp_quotient_grid():
-    assert mlp_quotient(1, 1) == MLP_ONE
-    assert mlp_quotient(1, 3) == round(MLP_ONE / 3)
+    def one_tick(m, n):
+        hot = _hot((n, 0))
+        for _ in range(m):
+            hot.on_inject(0, 0, READ)
+        hot.sample()
+        return _record(hot, 0, 0)[2]
+
+    assert one_tick(1, 1) == mlp_quotient(1, 1) == MLP_ONE
+    assert one_tick(1, 3) == mlp_quotient(1, 3) == round(MLP_ONE / 3)
+    assert one_tick(7, 9) == mlp_quotient(7, 9)
     assert abs(mlp_quotient(7, 9) / MLP_ONE - 7 / 9) <= ULP
 
 
 # -- folding into the stat store ----------------------------------------------
 
 def test_fold_adds_and_resets():
-    hot = HotPageCounters()
+    hot = _hot((0, 0), (1, 0))
     store = StatStore()
     hot.on_inject(9, 1, READ)
-    hot.sample([0, 1], [0, 0])   # app 1: ratio 1.0, weight 1
+    hot.sample()   # app 1: ratio 1.0, weight 1
     assert hot.on_complete(9, 1, READ, store) is not None
-    assert (9, 1) not in hot.entries
+    assert _key(hot, 9, 1) not in hot.entries
     [e] = store.entries_for_page(9)
     assert e.app_id == 1
     assert e.acc_read == MLP_ONE and e.weight_read == 1
 
 
 def test_fold_keeps_entry_while_outstanding():
-    hot = HotPageCounters()
+    hot = _hot((0, 0), (2, 0))
     store = StatStore()
     hot.on_inject(9, 1, READ)
     hot.on_inject(9, 1, READ)
     assert hot.on_complete(9, 1, READ, store) is None
-    assert (9, 1) in hot.entries
+    assert _key(hot, 9, 1) in hot.entries
 
 
 def test_fold_with_zero_temporaries_allocates_but_adds_nothing():
-    hot = HotPageCounters()
+    hot = _hot((0, 0), (1, 0))
     store = StatStore()
     hot.on_inject(9, 1, READ)
     hot.on_complete(9, 1, READ, store)  # never sampled
@@ -450,7 +490,7 @@ def test_weights_saturate():
 
 def _set_scan(store, page):
     """The page's entries found by scanning its set, in set (LRU) order."""
-    return [e for (p, _a), e in store.sets[page % store.num_sets].items() if p == page]
+    return [e for e in store.sets[page % store.num_sets] if e.page_id == page]
 
 
 _EVEN_PAGES = st.sampled_from(range(0, 20, 2))
@@ -478,6 +518,66 @@ def test_page_index_matches_a_scan_of_the_set(ops):
     touched = {op[1] % 4 for op in ops if op[0] == "get"}
     assert [s is not EMPTY_SET for s in store.sets] == [i in touched for i in range(4)]
     assert len({id(s) for s in store.sets if s is not EMPTY_SET}) == len(touched)
+
+
+def _counters(e):
+    return (e.access_count, e.read_misses, e.write_misses)
+
+
+_STORE_PAGES = st.integers(0, 11)
+
+
+@given(st.lists(st.one_of(
+    st.tuples(st.just("get"), _STORE_PAGES, st.integers(0, 2),
+              st.sampled_from([READ, WRITE]), st.booleans()),
+    st.tuples(st.just("invalidate"), _STORE_PAGES),
+    st.tuples(st.just("halve"))), max_size=100))
+def test_stat_store_matches_a_per_set_lru_list(ops):
+    # The reference keeps each set as a list of [page, app, accesses,
+    # read misses, write misses], least recently used first: a hit moves
+    # its entry to the end, an allocation into a full set evicts the head.
+    store = StatStore(sets=3, ways=3)
+    model = [[] for _ in range(3)]
+    evictions = 0
+    for op in ops:
+        if op[0] == "get":
+            _, page, app, kind, hit = op
+            lru = model[page % 3]
+            row = next((r for r in lru if r[:2] == [page, app]), None)
+            victim = None
+            if row is None:
+                if len(lru) == 3:
+                    victim = lru.pop(0)
+                    evictions += 1
+                row = [page, app, 0, 0, 0]
+            else:
+                lru.remove(row)
+            lru.append(row)
+            entry = store.get_or_alloc(page, app)
+            assert (entry.page_id, entry.app_id) == (page, app)
+            if victim is not None:
+                assert victim[1] not in [e.app_id for e in
+                                         store.entries_for_page(victim[0])]
+            entry.count_issue(kind, hit)
+            row[2] += 1
+            row[3 if kind == READ else 4] += not hit
+        elif op[0] == "invalidate":
+            lru = model[op[1] % 3]
+            lru[:] = [r for r in lru if r[0] != op[1]]
+            store.invalidate_page(op[1])
+        else:
+            for r in (r for lru in model for r in lru):
+                r[2:] = [c >> 1 for c in r[2:]]
+            store.halve_all()
+        assert store.evictions == evictions
+        assert [[[e.page_id, e.app_id, *_counters(e)] for e in s]
+                for s in store.sets] == model
+        for page in range(12):
+            assert [[e.page_id, e.app_id, *_counters(e)]
+                    for e in store.entries_for_page(page)] == [
+                r for r in model[page % 3] if r[0] == page]
+    assert [[e.page_id, e.app_id] for e in store.iter_entries()] == [
+        r[:2] for lru in model for r in lru]
 
 
 def test_stat_store_capacity():
